@@ -256,7 +256,7 @@ def _add_sweep_flags(sub: argparse.ArgumentParser, *, tuple_flag: bool = True) -
         sub.add_argument("--tuple", default="0,2",
                          help="offset pattern, comma-separated (default: 0,2)")
         sub.add_argument("--anchor", type=int, default=7,
-                         help="window anchor (default: 7)")
+                         help="window anchor, >= 5 and coprime to 6 (default: 7)")
     sub.add_argument("--workers", type=int, default=1,
                      help="parallel jobs across m0 values (default: 1)")
     sub.add_argument("--out", default=".",
@@ -288,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m0", type=int, required=True,
                    help="basis bound; window is [anchor, m0^2)")
     p.add_argument("--anchor", type=int, default=7,
-                   help="window anchor (default: 7)")
+                   help="window anchor, >= 5 and coprime to 6 (default: 7)")
     p.add_argument("--tuple", default="0,2",
                    help="offset pattern (default: 0,2)")
     p.add_argument("--survivors", default=None, metavar="PATH",
@@ -308,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tuple", default="0,2",
                    help="offset pattern (default: 0,2)")
     p.add_argument("--anchor", type=int, default=7,
-                   help="window anchor (default: 7)")
+                   help="window anchor, >= 5 and coprime to 6 (default: 7)")
     p.add_argument("--mu-source", choices=("observed", "expected"),
                    default="observed",
                    help="mean source for the report (default: observed)")

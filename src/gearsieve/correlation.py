@@ -4,7 +4,10 @@ For a prime p and position distance d, the local survival probability
 tau_p(d) is the fraction of residues a mod p at which the tuple survives
 at both positions r and r + d. Since consecutive positions are 2 apart,
 the forbidden residues are F_p = {-h mod p} at r and the same set shifted
-by -2d at r + d; tau is computed exactly from the union size.
+by -2d at r + d, so p * tau_p(d) = p - 2|F_p| + |F_p ∩ (F_p - 2d)|.
+tau_numerators evaluates that closed form for a whole period at once and
+is the one kernel behind every tau table; tau() counts the union per
+distance in Fraction arithmetic and serves as its oracle.
 
 Everything identity-shaped here stays in Fraction arithmetic; floats only
 appear at report boundaries (MomentReport fields, table cells).
@@ -20,7 +23,7 @@ import numpy as np
 
 from .constellations import Constellation, density_product, is_admissible, omega
 from .engine import SieveBasis, Window, certify, composite_signal
-from .primes import odd_primes_upto
+from .primes import is_prime_trial, odd_primes_upto
 
 # Windows with at most this many positions get the exact integer-arithmetic
 # covariance sums; larger windows fall back to vectorized float64.
@@ -78,12 +81,20 @@ class AsymptoticReport:
     cv: float
 
 
+def _require_prime(p: int) -> None:
+    if not is_prime_trial(p):
+        raise ValueError(f"tau needs a prime modulus, got {p}")
+
+
 def tau(constellation: Constellation, p: int, d: int) -> LocalSurvival:
     """Exact joint survival probability at position distance d."""
-    if p < 2:
-        raise ValueError(f"tau needs a prime modulus >= 2, got {p}")
+    _require_prime(p)
     if d < 0:
         raise ValueError(f"tau needs a distance >= 0, got {d}")
+    return _local_survival(constellation, p, d)
+
+
+def _local_survival(constellation: Constellation, p: int, d: int) -> LocalSurvival:
     forbidden = {(-h) % p for h in constellation.offsets}
     forbidden |= {(-h - 2 * d) % p for h in constellation.offsets}
     value = Fraction(p - len(forbidden), p)
@@ -100,12 +111,54 @@ def tau(constellation: Constellation, p: int, d: int) -> LocalSurvival:
 
 def tau_table(constellation: Constellation, p: int) -> list[LocalSurvival]:
     """tau_p(d) over one full period d = 0 .. p-1."""
-    return [tau(constellation, p, d) for d in range(p)]
+    _require_prime(p)
+    return [_local_survival(constellation, p, d) for d in range(p)]
 
 
 def tau_numerators(constellation: Constellation, p: int) -> list[int]:
-    """p * tau_p(d) for d = 0 .. p-1, as plain ints for fast products."""
-    return [int(row.tau * p) for row in tau_table(constellation, p)]
+    """p * tau_p(d) for d = 0 .. p-1, in O(k^2 + p).
+
+    The overlap |F ∩ (F - 2d)| counts the pairs (a, b) in F x F with
+    b - a = 2d (mod p), so one bincount of the pairwise differences gives
+    it for every d. The values are plain Python ints, not int64: the exact
+    sums multiply them into products of hundreds of primes.
+    """
+    _require_prime(p)
+    forbidden = np.array(sorted({-h % p for h in constellation.offsets}), dtype=np.int64)
+    overlap = np.bincount((forbidden[:, None] - forbidden[None, :]).ravel() % p, minlength=p)
+    return (p - 2 * forbidden.size + overlap[2 * np.arange(p) % p]).tolist()
+
+
+def sparse_factors(tables) -> tuple[float, list[tuple[int, list[int], list[float]]]]:
+    """Split a product of periodic tables into a constant and sparse corrections.
+
+    tables holds (p, nums) with nums[r] = p * (factor at residue r mod p).
+    Each table's base is its most common nonzero value; the product equals
+    prod base / p times, for each p, nums[r] / base at the residues r where
+    nums[r] != base. A tau table of a k-tuple leaves p - 2|F| at all but at
+    most k(k-1) + 1 residues, so past the smallest primes the corrections
+    are few. Returns that constant and (p, residues, factors) per table;
+    apply_sparse_factors multiplies them in.
+    """
+    ps, bases, corrections = [], [], []
+    for p, nums in tables:
+        nums = np.asarray(nums, dtype=np.int64)
+        counts = np.bincount(nums)
+        counts[0] = 0
+        base = int(np.argmax(counts))
+        residues = np.flatnonzero(nums != base)
+        ps.append(p)
+        bases.append(base)
+        corrections.append((p, residues.tolist(), (nums[residues] / base).tolist()))
+    # int / int rounds once, so the constant is the correctly rounded product.
+    return math.prod(bases) / math.prod(ps), corrections
+
+
+def apply_sparse_factors(acc: np.ndarray, corrections, start: int) -> None:
+    """Multiply acc[i] by each table's correction at residue (start + i) mod p."""
+    for p, residues, factors in corrections:
+        for r, f in zip(residues, factors):
+            acc[(r - start) % p :: p] *= f
 
 
 def universal_average(constellation: Constellation, p: int) -> Fraction:
@@ -257,7 +310,12 @@ def _sigma_off_split_exact(
 def _sigma_off_split_float(
     constellation: Constellation, primes: list[int], positions: int, p_b: int
 ) -> float:
-    """Vectorized float64 version of the split sum for large windows."""
+    """Vectorized float64 version of the split sum for large windows.
+
+    Entry j - 1 of the product is the reduced product at d = p_b * j;
+    reindexing each table by j mod p lets the sparse corrections run as
+    strided slices over j.
+    """
     r = positions
     dmax = (r - 1) // p_b
     mu = 1.0
@@ -266,14 +324,15 @@ def _sigma_off_split_float(
     _, on_weight, off_weight = _split_weights(r, p_b)
     if dmax == 0:
         return -(mu * mu) * float(off_weight)
-    d = p_b * np.arange(1, dmax + 1, dtype=np.int64)
-    acc = np.full(d.size, 1.0 / p_b)
+    tables = []
     for p in primes:
-        if p == p_b:
-            continue
-        table = np.array(tau_numerators(constellation, p), dtype=np.float64) / p
-        acc *= table[(d % p).astype(np.int64)]
-    weights = (r - d).astype(np.float64)
+        if p != p_b:
+            nums = np.asarray(tau_numerators(constellation, p))
+            tables.append((p, nums[p_b * np.arange(p) % p]))
+    const, corrections = sparse_factors(tables)
+    acc = np.full(dmax, const / p_b)
+    apply_sparse_factors(acc, corrections, start=1)
+    weights = (r - p_b * np.arange(1, dmax + 1)).astype(np.float64)
     surviving = math.fsum(weights * (acc - mu * mu))
     return surviving - (mu * mu) * float(off_weight)
 

@@ -52,6 +52,10 @@ class Window:
     end: int
 
     def __post_init__(self) -> None:
+        # Below 5 a window reaches 1 and negative values, which no basis
+        # prime strikes: anchor 1 would certify (1, 3) as a twin pair.
+        if self.anchor < 5:
+            raise ValueError(f"anchor must be >= 5, got {self.anchor}")
         if self.anchor % 2 == 0 or math.gcd(self.anchor, 6) != 1:
             raise ValueError(f"anchor must be odd and coprime to 6, got {self.anchor}")
         if self.end <= self.anchor:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constellations import TWINS
-from .correlation import tau, tau_numerators
+from .correlation import apply_sparse_factors, sparse_factors, tau_numerators
 from .errors import InvariantError
 from .primes import odd_primes_upto
 
@@ -68,11 +68,6 @@ class TwoPrimeReport:
     injective: bool
     freq_sum: float
     full_sum_bound: float
-
-
-def _tau_sequence(p: int) -> np.ndarray:
-    """Twin survival values tau_p(d) for d = 0 .. p-1 as float64."""
-    return np.array([float(tau(TWINS, p, d).tau) for d in range(p)])
 
 
 def tau_fourier(p: int) -> list[FourierRow]:
@@ -136,16 +131,16 @@ def product_variance_constant(pmax: int) -> float:
 
 
 def _h_table(p: int, convention: str) -> np.ndarray:
-    """Per-prime lookup giving the h factor as a function of d mod p.
+    """p times the h factor of prime p, as a function of d mod p.
 
     appendix_c reads tau_p at d directly; section4 reads it at 3d, which
     traverses the same cycle in a different order (gcd(3, p) = 1), so the
     two conventions pair weights with different factor values.
     """
-    base = _tau_sequence(p)
+    nums = np.asarray(tau_numerators(TWINS, p))
     if convention == "appendix_c":
-        return base
-    return base[(3 * np.arange(p)) % p]
+        return nums
+    return nums[(3 * np.arange(p)) % p]
 
 
 def weighted_ergodic_sum(m0: int, convention: str = "appendix_c", segments: int = 1) -> EquidistReport:
@@ -153,9 +148,11 @@ def weighted_ergodic_sum(m0: int, convention: str = "appendix_c", segments: int 
 
     L = m0^2, N = floor(L/3), h(d) = prod_{5 <= p <= m0} tau_p(d mod p)
     (or tau_p(3d mod p) under section4), and theory = h_bar L^2 / 6 with
-    h_bar = prod (p-2)^2/p^2. Factors come from tiled per-prime tables,
-    so the hot path has no modular divisions; each segment accumulates
-    with fsum and the per-segment totals merge with fsum in d order.
+    h_bar = prod (p-2)^2/p^2. h starts at the product of each prime's
+    generic factor and takes sparse corrections as strided slices (see
+    sparse_factors), so the hot path has no modular divisions; each
+    segment accumulates with fsum and the per-segment totals merge with
+    fsum in d order.
     """
     if m0 < 11:
         raise ValueError(f"weighted sum needs m0 >= 11, got {m0}")
@@ -164,7 +161,7 @@ def weighted_ergodic_sum(m0: int, convention: str = "appendix_c", segments: int 
     if segments < 1:
         raise ValueError(f"segment count must be >= 1, got {segments}")
     ps = [int(p) for p in odd_primes_upto(m0) if p >= 5]
-    tables = [(p, _h_table(p, convention)) for p in ps]
+    const, corrections = sparse_factors((p, _h_table(p, convention)) for p in ps)
     big_l = m0 * m0
     n = big_l // 3
     bounds = [1 + i * n // segments for i in range(segments + 1)]
@@ -172,12 +169,8 @@ def weighted_ergodic_sum(m0: int, convention: str = "appendix_c", segments: int 
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         if lo >= hi:
             continue
-        count = hi - lo
-        acc = np.ones(count)
-        for p, table in tables:
-            start = lo % p
-            reps = (start + count + p - 1) // p
-            acc *= np.tile(table, reps)[start : start + count]
+        acc = np.full(hi - lo, const)
+        apply_sparse_factors(acc, corrections, start=lo)
         weights = big_l - 3.0 * np.arange(lo, hi, dtype=np.float64)
         partials.append(math.fsum(weights * acc))
     weighted = math.fsum(partials)

@@ -138,6 +138,9 @@ def test_invalid_configuration_exit_code(capsys):
     assert main(["seed", "2"]) == 2
     assert main(["fit", "--m0-list", "30,50"]) == 2
     assert main(["table1", "--m0-list", "30;50"]) == 2
+    assert main(["scan", "--m0", "101", "--anchor", "1"]) == 2
+    assert main(["tau", "--p", "9"]) == 2
+    assert main(["tau", "--p", "4"]) == 2
     capsys.readouterr()
 
 

@@ -3,17 +3,22 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis.strategies import integers, sampled_from, sets
 
-from gearsieve.constellations import COUSINS, SEXY, TWINS, Constellation, omega
+from gearsieve.constellations import COUSINS, SEXY, TWINS, Constellation, is_admissible, omega
 from gearsieve.correlation import (
     EXACT_POSITION_LIMIT,
+    _sigma_off_split_float,
     asymptotic_report,
     crt_average,
     fano_theoretical,
     mean_field,
     paley_zygmund_bound,
     tau,
+    tau_numerators,
     tau_table,
     universal_average,
     variance_decomposition,
@@ -73,6 +78,54 @@ def test_tau_blocking_at_three():
         else:
             assert value == 0
             assert tau(TWINS, 3, d).case_label == "BLOCKED"
+
+
+def test_tau_rejects_composite_modulus():
+    for p in (0, 1, 4, 9, 15):
+        with pytest.raises(ValueError):
+            tau(TWINS, p, 1)
+        with pytest.raises(ValueError):
+            tau_table(TWINS, p)
+        with pytest.raises(ValueError):
+            tau_numerators(TWINS, p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    sets(integers(1, 15), min_size=1, max_size=4),
+    sampled_from([int(p) for p in odd_primes_upto(500)]),
+)
+def test_tau_numerators_match_fraction_tau(halves, p):
+    # primes up to the span (30) make residues of the offsets collide
+    constellation = Constellation("random", (0, *sorted(2 * h for h in halves)))
+    assume(is_admissible(constellation).admissible)
+    nums = tau_numerators(constellation, p)
+    assert all(type(n) is int for n in nums)
+    assert nums == [tau(constellation, p, d).tau * p for d in range(p)]
+
+
+def _dense_split_reference(constellation, primes, positions, p_b):
+    # the per-prime table gather over every surviving distance, from Fraction tau()
+    d = p_b * np.arange(1, (positions - 1) // p_b + 1)
+    acc = np.full(d.size, 1.0 / p_b)
+    mu = 1.0
+    for p in primes:
+        mu *= (p - omega(constellation, p)) / p
+        if p != p_b:
+            table = np.array([float(tau(constellation, p, x).tau) for x in range(p)])
+            acc *= table[d % p]
+    off_weight = positions * (positions - 1) // 2 - int(np.sum(positions - d))
+    return math.fsum((positions - d) * (acc - mu * mu)) - mu * mu * off_weight
+
+
+def test_sigma_off_split_float_matches_dense_product():
+    for constellation in (TWINS, TRIPLE):
+        for m0 in (101, 211):
+            primes = [int(p) for p in odd_primes_upto(m0)]
+            positions = Window(7, m0 * m0).positions
+            got = _sigma_off_split_float(constellation, primes, positions, 3)
+            want = _dense_split_reference(constellation, primes, positions, 3)
+            assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_tau_period_sum_identity():

@@ -51,6 +51,10 @@ def test_window_validation():
         Window(9, 100)  # divisible by three
     with pytest.raises(ValueError):
         Window(7, 7)  # empty
+    with pytest.raises(ValueError):
+        Window(1, 101 * 101)  # proper signal certified (1, 3): 211 twins, oracle 210
+    with pytest.raises(ValueError):
+        Window(-5, 101 * 101)  # proper signal certified 212 twins, oracle 213
     w = Window(7, 900)
     assert w.length == 893
     assert w.positions == 447
@@ -118,6 +122,13 @@ def test_certified_twins_match_local_oracle():
         ]
         assert list(result.survivors) == expected
         assert result.count == len(expected)
+
+
+def test_lowest_anchor_matches_classical_oracle():
+    # 5 is the smallest anchor a window accepts; (5, 7) counts on both sides
+    window = Window(5, 101 * 101)
+    trace = composite_signal(build_basis(101), window, TWINS, count_self_hits=False)
+    assert certify(trace).count == classical_oracle_count(window, TWINS) == 209
 
 
 def test_certify_against_classical_oracle():

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from gearsieve.constellations import TWINS
+from gearsieve.correlation import tau
 from gearsieve.fourier import (
     fit_decay_exponent,
     fit_power_law,
@@ -15,6 +17,7 @@ from gearsieve.fourier import (
     weighted_ergodic_sum,
     weighted_exp_sum,
 )
+from gearsieve.primes import odd_primes_upto
 
 
 def test_tau_fourier_p5_closed_values():
@@ -81,6 +84,27 @@ def test_weighted_ergodic_sum_theory_formula():
     for p in (5, 7, 11, 13, 17, 19, 23, 29):
         hbar *= (p - 2) ** 2 / p**2
     assert abs(report.theory - hbar * 900**2 / 6) < 1e-6
+
+
+def _dense_ergodic_reference(m0, convention):
+    # the full per-prime product over every distance, from Fraction tau()
+    big_l = m0 * m0
+    d = np.arange(1, big_l // 3 + 1)
+    acc = np.ones(d.size)
+    for p in odd_primes_upto(m0):
+        p = int(p)
+        if p >= 5:
+            table = np.array([float(tau(TWINS, p, x).tau) for x in range(p)])
+            acc *= table[(d if convention == "appendix_c" else 3 * d) % p]
+    return math.fsum((big_l - 3.0 * d) * acc)
+
+
+def test_weighted_ergodic_sum_matches_dense_product():
+    for m0 in (101, 211):
+        for convention in ("appendix_c", "section4"):
+            got = weighted_ergodic_sum(m0, convention=convention).weighted_sum
+            want = _dense_ergodic_reference(m0, convention)
+            assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_weighted_ergodic_sum_segment_invariance():
