@@ -294,7 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--survivors", default=None, metavar="PATH",
                    help="also write surviving start values, one per line")
     p.add_argument("--segments", type=int, default=1,
-                   help="partition count for the striding pass (default: 1)")
+                   help="partition count, >= 1; accepted for compatibility, the "
+                        "striding pass always runs fixed cache-sized blocks "
+                        "(default: 1)")
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("tau", help="per-distance survival table for one prime")

@@ -9,15 +9,17 @@ member of the tuple at N_r is prime, because any composite member would
 have a prime factor inside the basis.
 
 Everything is computed by striding in position space (one slice assignment
-per (prime, offset) pair), never by per-position trial division. Windows
-partition into contiguous segments that are evaluated independently and
-identically, so results never depend on the segmentation.
+per (prime, offset) pair and block), never by per-position trial division.
+One core does all the striding: the per-pair start residues are computed
+once, and fixed cache-sized blocks advance them arithmetically, so results
+never depend on how a caller would partition the window. Mask mode also
+strides only the positions r mod 15 where no member is divisible by 3 or 5.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -29,7 +31,15 @@ from .primes import odd_primes_upto, primes_upto
 # Windows larger than this are out of scope for every operation here.
 MAX_WINDOW_END = 10**9
 
-_ORACLE_CHUNK = 8_000_000
+# Sized so the oracle's working arrays stay near L2.
+_ORACLE_CHUNK = 2_000_000
+
+# Entries per lane that one block strides: a lane this long stays in L2
+# while every (prime, offset) pair passes over it.
+_BLOCK = 1 << 19
+
+# Primes the mask-mode wheel removes by construction; 15 lanes.
+_WHEEL = (3, 5)
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,8 +116,7 @@ class SignalTrace:
         """Boolean survivor mask over all positions, from either storage."""
         if self.values is not None:
             return self.values == 0
-        bits = np.unpackbits(self.zero_bits)
-        return bits[: self.window.positions].astype(bool)
+        return np.unpackbits(self.zero_bits, count=self.window.positions).view(bool)
 
 
 @dataclass(frozen=True)
@@ -138,45 +147,72 @@ def first_candidate_above(m0: int) -> int:
     return n
 
 
-def _counter_dtype(max_value: int, k: int) -> type:
-    # A member <= max_value has at most log_3(max_value) odd prime factors,
-    # so k * (that + 1) bounds the signal; pick the narrowest safe counter.
-    bound = k * (int(math.log(max(max_value, 3)) / math.log(3)) + 1)
+def _counter_dtype(start: int, count: int, offsets: tuple[int, ...]) -> type:
+    # A member of absolute value <= top has at most log_3(top) odd prime
+    # factors, so k * (that + 1) bounds the signal; pick the narrowest
+    # safe counter.
+    last = start + 2 * max(count - 1, 0)
+    top = max((max(abs(start + h), abs(last + h)) for h in offsets), default=0)
+    bound = len(offsets) * (int(math.log(max(top, 3)) / math.log(3)) + 1)
     return np.uint8 if bound <= 255 else np.uint16
 
 
-def _stride_segment(
-    seg: np.ndarray,
-    lo: int,
-    start: int,
-    primes: np.ndarray,
-    offsets: tuple[int, ...],
-    count_self_hits: bool,
-) -> None:
-    """Accumulate hits into seg, which covers position indices [lo, lo+len).
+def _stride_blocks(start, count, primes, offsets, modulus, lanes, dtype):
+    """The striding core: every (lane, offset, prime) hit, one block at a time.
 
-    Position r holds the value start + 2r. For each (p, h), the hit indices
-    form the arithmetic progression r = r0 (mod p) with 2*r0 = -(start+h);
-    the stride start inside the segment is recomputed from lo, which makes
-    the result independent of how the window was partitioned.
+    Lane c holds the positions r = c + modulus*t, whose members are
+    start + 2c + h + 2*modulus*t, so p | member exactly when
+    t = -(start + 2c + h) / (2*modulus) mod p. Primes dividing modulus are
+    skipped; the caller accounts for them through its choice of lanes.
+    Yields (t_lo, block) for t_lo = 0, _BLOCK, ...: block[i, j] covers
+    t = t_lo + j of lane lanes[i] and holds its hit count (an integer
+    dtype) or whether it was hit at all (bool). Columns past the last
+    position are garbage. The buffer is reused, so consume each block
+    before asking for the next.
     """
-    hi = lo + seg.size
-    for p in primes:
-        p = int(p)
-        inv2 = (p + 1) // 2
-        for h in offsets:
-            r0 = (-(start + h) * inv2) % p
-            first = lo + (r0 - lo) % p
-            if first < hi:
-                seg[first - lo :: p] += 1
-            if not count_self_hits:
-                # The member equal to p itself is prime, not a proper
-                # multiple; take that single hit back.
-                member = p - h
-                if member >= start and (member - start) % 2 == 0:
-                    r_self = (member - start) // 2
-                    if lo <= r_self < hi:
-                        seg[r_self - lo] -= 1
+    ps = np.array([p for p in primes.tolist() if modulus % p != 0], dtype=np.int64)
+    n_t = -(-count // modulus)
+    block = np.zeros((len(lanes), min(_BLOCK, n_t)), dtype=dtype)
+    # Triples run lane by lane, then offset, then prime, so one lane's
+    # row stays in cache while every prime strides it.
+    inv = np.array([pow(2 * modulus, -1, p) for p in ps.tolist()], dtype=np.int64)
+    bases = np.array([start + 2 * c + h for c in lanes for h in offsets], dtype=np.int64)
+    t0 = ((-bases[:, None] % ps) * inv % ps).ravel()
+    step = np.broadcast_to(ps, (bases.size, ps.size)).ravel()
+    rows = [row for row in block for _ in range(len(offsets) * ps.size)]
+    steps = step.tolist()
+    counts = block.dtype != bool
+    for t_lo in range(0, n_t, _BLOCK):
+        block.fill(0)
+        firsts = ((t0 - t_lo) % step).tolist()
+        for row, first, p in zip(rows, firsts, steps):
+            if counts:
+                row[first::p] += 1
+            else:
+                row[first::p] = True
+        yield t_lo, block
+
+
+def _self_hit_positions(
+    start: int, count: int, primes: np.ndarray, offsets: tuple[int, ...]
+) -> np.ndarray:
+    """Positions r < count with a member start + 2r + h equal to +p or -p.
+
+    One entry per (p, h) self-hit, so a position appears once for each
+    basis prime among its members.
+    """
+    ps = np.asarray(primes, dtype=np.int64)
+    hs = np.array(offsets, dtype=np.int64)[:, None]
+    twice = np.concatenate([ps - hs, -ps - hs]).ravel() - start
+    keep = (twice >= 0) & (twice % 2 == 0) & (twice < 2 * count)
+    return twice[keep] // 2
+
+
+def _drop_self_hits(
+    values: np.ndarray, start: int, primes: np.ndarray, offsets: tuple[int, ...]
+) -> None:
+    """Turn literal counts into proper-multiple counts, in place."""
+    np.subtract.at(values, _self_hit_positions(start, values.size, primes, offsets), 1)
 
 
 def signal_values(
@@ -189,19 +225,79 @@ def signal_values(
 ) -> np.ndarray:
     """Raw per-position hit counts over positions start + 2r, r < count.
 
-    No window or candidate validation; this is the striding core, exposed
-    for residue-averaging checks that scan arbitrary (even even) starts.
+    No window or candidate validation; this is the striding core's counts
+    mode (one lane, no wheel), exposed for residue-averaging checks that
+    scan arbitrary (even even) starts. segments is validated but no longer
+    sizes the work: the core always strides fixed cache-sized blocks.
     """
     if count < 0:
         raise ValueError(f"position count must be >= 0, got {count}")
     if segments < 1:
         raise ValueError(f"segment count must be >= 1, got {segments}")
-    top = start + 2 * max(count - 1, 0) + (max(offsets) if offsets else 0)
-    values = np.zeros(count, dtype=_counter_dtype(top, len(offsets)))
-    bounds = [i * count // segments for i in range(segments + 1)]
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        _stride_segment(values[lo:hi], lo, start, primes, offsets, count_self_hits)
+    values = np.empty(count, dtype=_counter_dtype(start, count, offsets))
+    for t_lo, block in _stride_blocks(start, count, primes, offsets, 1, [0], values.dtype):
+        width = min(block.shape[1], count - t_lo)
+        values[t_lo : t_lo + width] = block[0, :width]
+    if not count_self_hits:
+        _drop_self_hits(values, start, primes, offsets)
     return values
+
+
+def _survivor_bits(
+    start: int,
+    count: int,
+    primes: np.ndarray,
+    offsets: tuple[int, ...],
+    count_self_hits: bool,
+) -> np.ndarray:
+    """packbits of (S_C(r) == 0) over positions start + 2r, r < count.
+
+    Wheel primes (3 and 5, when in the basis) are handled by construction:
+    only the lanes r mod 15 where none of them divides a member are
+    sieved, and every other position is a hit. Without self-hits, these
+    literal marks are wrong only where a member is +-p for a basis prime p.
+    Those positions lie in a prefix that ends at the last of them (in a
+    window, where members pass the basis bound), and that prefix is
+    recomputed exactly from counts.
+    """
+    in_basis = set(primes.tolist())
+    wheel = [q for q in _WHEEL if q in in_basis]
+    modulus = math.prod(wheel)
+    lanes = [
+        c for c in range(modulus)
+        if all((start + 2 * c + h) % q != 0 for q in wheel for h in offsets)
+    ]
+    bits = np.zeros((count + 7) // 8, dtype=np.uint8)
+    chunk = np.zeros((min(_BLOCK, -(-count // modulus)), modulus), dtype=bool)
+    for t_lo, block in _stride_blocks(start, count, primes, offsets, modulus, lanes, bool):
+        lo = modulus * t_lo
+        width = min(chunk.shape[0], -(-(count - lo) // modulus))
+        chunk[:width, lanes] = ~block[:, :width].T
+        packed = np.packbits(chunk[:width].reshape(-1)[: count - lo])
+        bits[lo // 8 : lo // 8 + packed.size] = packed
+    if not count_self_hits:
+        hits = _self_hit_positions(start, count, primes, offsets)
+        if hits.size:
+            head = int(hits.max()) + 1
+            exact = signal_values(start, head, primes, offsets, count_self_hits=False) == 0
+            nbytes = (head + 7) // 8
+            prefix = np.unpackbits(bits[:nbytes])
+            prefix[:head] = exact
+            bits[:nbytes] = np.packbits(prefix)
+    return bits
+
+
+def _count_bits(bits: np.ndarray, n: int) -> int:
+    """Set bits among the first n of a big-endian packed bit array."""
+    full, rest = divmod(n, 8)
+    # Whole 8-byte words first, so the per-element counts take an eighth
+    # of the memory the packed bits do.
+    words = full // 8 * 8
+    total = int(np.bitwise_count(bits[:words].view(np.uint64)).sum())
+    total += int(np.bitwise_count(bits[words:full]).sum())
+    if rest:
+        total += int(bits[full] >> (8 - rest)).bit_count()
+    return total
 
 
 def composite_signal(
@@ -215,8 +311,10 @@ def composite_signal(
     """Evaluate S_C over a window, storing counts or a packed survivor mask.
 
     Counts mode keeps one small integer per position; mask mode keeps one
-    bit per position and bounds working memory by the segment size, which
-    is the only storage suitable for very large windows.
+    bit per position and bounds working memory by the block size, which
+    is the only storage suitable for very large windows. segments is
+    validated but no longer sizes the work: both modes stride fixed
+    cache-sized blocks, so every result is independent of it.
     """
     if mode not in ("counts", "mask"):
         raise ValueError(f"mode must be 'counts' or 'mask', got {mode!r}")
@@ -227,50 +325,33 @@ def composite_signal(
         raise ValueError(f"constellation {constellation.name} is not admissible")
     if segments < 1:
         raise ValueError(f"segment count must be >= 1, got {segments}")
-    n = window.positions
-    in_range = window.in_range_positions(constellation.span)
-    offsets = constellation.offsets
-
-    if mode == "counts":
-        values = signal_values(
-            window.anchor,
-            n,
-            basis.primes,
-            offsets,
-            count_self_hits=count_self_hits,
-            segments=segments,
-        )
-        return SignalTrace(
-            basis=basis,
-            window=window,
-            constellation=constellation,
-            count_self_hits=count_self_hits,
-            in_range=in_range,
-            values=values,
-        )
-
-    # Mask mode: segment boundaries land on byte edges so the per-segment
-    # packed bits concatenate into exactly packbits(full mask).
-    top = window.anchor + 2 * max(n - 1, 0) + constellation.span
-    dtype = _counter_dtype(top, len(offsets))
-    bounds = [0]
-    for i in range(1, segments):
-        bounds.append(min(n, (i * n // segments) & ~7))
-    bounds.append(n)
-    chunks = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        seg = np.zeros(hi - lo, dtype=dtype)
-        _stride_segment(seg, lo, window.anchor, basis.primes, offsets, count_self_hits)
-        chunks.append(np.packbits(seg == 0))
-    zero_bits = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.uint8)
-    return SignalTrace(
+    args = (window.anchor, window.positions, basis.primes, constellation.offsets, count_self_hits)
+    trace = SignalTrace(
         basis=basis,
         window=window,
         constellation=constellation,
         count_self_hits=count_self_hits,
-        in_range=in_range,
-        zero_bits=zero_bits,
+        in_range=window.in_range_positions(constellation.span),
     )
+    if mode == "counts":
+        trace.values = signal_values(*args)
+    else:
+        trace.zero_bits = _survivor_bits(*args)
+    return trace
+
+
+def proper_signal(literal: SignalTrace) -> SignalTrace:
+    """The proper-multiples counts trace, derived from a literal one.
+
+    The two differ only at the self-hit positions, at most one per
+    (basis prime, offset), so this costs no second striding pass.
+    """
+    if literal.values is None or not literal.count_self_hits:
+        raise ValueError("proper_signal expects a literal counts-mode trace")
+    values = literal.values.copy()
+    window, offsets = literal.window, literal.constellation.offsets
+    _drop_self_hits(values, window.anchor, literal.basis.primes, offsets)
+    return replace(literal, count_self_hits=False, values=values)
 
 
 def certify(trace: SignalTrace, survivors: bool = False) -> CertifiedResult:
@@ -280,6 +361,9 @@ def certify(trace: SignalTrace, survivors: bool = False) -> CertifiedResult:
     positions are exactly the all-prime tuples; members at or below the
     bound can only survive under the proper-multiples signal variant.
     """
+    if trace.zero_bits is not None and not survivors:
+        # Counted straight from the packed bits; no mask is unpacked.
+        return CertifiedResult(count=_count_bits(trace.zero_bits, trace.in_range))
     zeros = trace.zero_mask()[: trace.in_range]
     count = int(np.count_nonzero(zeros))
     if not survivors:
@@ -330,39 +414,25 @@ def goldbach_count(even_n: int, survivors: bool = False) -> CertifiedResult:
     Basis bound is the smallest odd integer >= sqrt(even_n), so both
     members are certified by proper-multiple hits alone: a basis prime
     equal to a member is excluded, which keeps small prime members alive.
+    This is the window core with offsets (0, -even_n) over n = 3 + 2i:
+    the second member n - even_n is hit exactly when p | even_n - n.
     """
     if even_n % 2 != 0 or even_n < 8:
         raise ValueError(f"goldbach count expects an even integer >= 8, got {even_n}")
+    if even_n > MAX_WINDOW_END:
+        raise ValueError(
+            f"goldbach count supports even integers up to {MAX_WINDOW_END}, got {even_n}"
+        )
     root = math.isqrt(even_n)
     if root * root < even_n:
         root += 1
     m0 = root if root % 2 == 1 else root + 1
-    half = even_n // 2
-    count = (half - 3) // 2 + 1  # odd n = 3 + 2i up to half
-    hits = np.zeros(count, dtype=np.uint8)
-    for p in odd_primes_upto(m0):
-        p = int(p)
-        inv2 = (p + 1) // 2
-        # side n: p | n, excluding n == p itself
-        i0 = (-3 * inv2) % p
-        hits[i0::p] += 1
-        if p >= 3 and (p - 3) % 2 == 0:
-            i_self = (p - 3) // 2
-            if i_self < count:
-                hits[i_self] -= 1
-        # side even_n - n: p | (even_n - n), excluding even_n - n == p
-        j0 = ((even_n - 3) * inv2) % p
-        hits[j0::p] += 1
-        partner = even_n - p
-        if partner >= 3 and (partner - 3) % 2 == 0:
-            j_self = (partner - 3) // 2
-            if j_self < count:
-                hits[j_self] -= 1
-    zeros = hits == 0
-    total = int(np.count_nonzero(zeros))
+    count = (even_n // 2 - 3) // 2 + 1  # odd n = 3 + 2i up to even_n/2
+    bits = _survivor_bits(3, count, odd_primes_upto(m0), (0, -even_n), count_self_hits=False)
+    total = _count_bits(bits, count)
     if not survivors:
         return CertifiedResult(count=total)
-    values = 3 + 2 * np.flatnonzero(zeros)
+    values = 3 + 2 * np.flatnonzero(np.unpackbits(bits, count=count))
     return CertifiedResult(count=total, survivors=tuple(int(v) for v in values))
 
 

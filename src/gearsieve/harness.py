@@ -17,7 +17,7 @@ import numpy as np
 
 from .constellations import Constellation, TWINS
 from .correlation import fano_theoretical, mean_field, variance_decomposition
-from .engine import SieveBasis, Window, build_basis, certify, composite_signal
+from .engine import SieveBasis, Window, build_basis, certify, composite_signal, proper_signal
 from .fourier import FitResult, fit_decay_exponent, weighted_ergodic_sum
 
 MEAN_SOURCES = ("proper", "literal")
@@ -114,8 +114,8 @@ def _table1_row(args: tuple) -> dict:
     m0, constellation, anchor, conventions = args
     basis = sweep_basis(m0)
     window = Window.for_capacity(m0, anchor)
-    proper = composite_signal(basis, window, constellation, count_self_hits=False)
     literal = composite_signal(basis, window, constellation)
+    proper = proper_signal(literal)
     source = proper if conventions.table1_mean_source == "proper" else literal
     values = source.values
     mean = float(values.mean())
@@ -171,9 +171,8 @@ def _figure_row(args: tuple) -> dict:
     m0, constellation, anchor = args
     basis = sweep_basis(m0)
     window = Window.for_capacity(m0, anchor)
-    proper = composite_signal(basis, window, constellation, count_self_hits=False)
     literal = composite_signal(basis, window, constellation)
-    values = proper.values
+    values = proper_signal(literal).values
     mean = float(values.mean())
     count = certify(literal).count
     return {

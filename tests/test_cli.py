@@ -5,6 +5,7 @@ import json
 import pytest
 
 from gearsieve.cli import main
+from gearsieve.engine import MAX_WINDOW_END
 
 
 def test_seed_command(capsys):
@@ -93,6 +94,11 @@ def test_goldbach_command(capsys):
     assert payload["survivors"] == [3, 11, 17, 29, 41, 47]
 
 
+def test_goldbach_above_window_cap_exits_two(capsys):
+    assert main(["goldbach", "--even", str(MAX_WINDOW_END + 2)]) == 2
+    capsys.readouterr()
+
+
 def test_table_commands_write_files(tmp_path, capsys):
     rc = main(["table1", "--m0-list", "30,50", "--out", str(tmp_path),
                "--format", "csv,json"])
@@ -139,6 +145,7 @@ def test_invalid_configuration_exit_code(capsys):
     assert main(["fit", "--m0-list", "30,50"]) == 2
     assert main(["table1", "--m0-list", "30;50"]) == 2
     assert main(["scan", "--m0", "101", "--anchor", "1"]) == 2
+    assert main(["scan", "--m0", "101", "--segments", "0"]) == 2
     assert main(["tau", "--p", "9"]) == 2
     assert main(["tau", "--p", "4"]) == 2
     capsys.readouterr()

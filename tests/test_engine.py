@@ -8,6 +8,7 @@ import pytest
 
 from gearsieve.constellations import COUSINS, SEXY, TWINS, Constellation
 from gearsieve.engine import (
+    MAX_WINDOW_END,
     Window,
     build_basis,
     certify,
@@ -15,6 +16,7 @@ from gearsieve.engine import (
     composite_signal,
     first_candidate_above,
     goldbach_count,
+    proper_signal,
     signal_values,
     torus_average,
 )
@@ -201,6 +203,21 @@ def test_mask_mode_agrees_with_counts_mode():
     assert certify(mask).count == certify(counts).count
 
 
+def test_proper_signal_matches_direct_proper_pass():
+    basis = build_basis(29)
+    window = Window(5, 900)
+    literal = composite_signal(basis, window, TWINS)
+    derived = proper_signal(literal)
+    direct = composite_signal(basis, window, TWINS, count_self_hits=False)
+    assert not derived.count_self_hits
+    assert np.array_equal(derived.values, direct.values)
+    assert int(np.count_nonzero(derived.values == 0)) == 34  # (5, 7) joins the 33
+    with pytest.raises(ValueError):
+        proper_signal(direct)
+    with pytest.raises(ValueError):
+        proper_signal(composite_signal(basis, window, TWINS, mode="mask"))
+
+
 def test_composite_signal_validation():
     basis = build_basis(9)
     window = Window(7, 100)
@@ -250,6 +267,12 @@ def test_goldbach_validation():
         goldbach_count(7)
     with pytest.raises(ValueError):
         goldbach_count(6)
+
+
+def test_goldbach_rejects_even_above_window_cap():
+    # the counter sieves even_n / 4 positions, so it shares the window cap
+    with pytest.raises(ValueError):
+        goldbach_count(MAX_WINDOW_END + 2)
 
 
 def test_torus_average_exact():

@@ -1,0 +1,140 @@
+"""Differential tests of the striding core against independent oracles.
+
+The core strides fixed blocks, so the block size is drawn too (patched
+down to a few bytes' worth of entries), which puts block edges inside
+windows small enough for the classical oracle.
+"""
+
+import math
+from unittest import mock
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis.strategies import booleans, integers, sampled_from, sets
+
+from gearsieve import engine
+from gearsieve.constellations import Constellation, is_admissible
+from gearsieve.engine import (
+    Window,
+    build_basis,
+    certify,
+    classical_oracle_count,
+    composite_signal,
+    first_candidate_above,
+    goldbach_count,
+    proper_signal,
+)
+
+# Block sizes must keep every block a whole number of bytes of positions.
+BLOCK_SIZES = (8, 16, 64, engine._BLOCK)
+GOLDBACH_LIMIT = 20_000
+
+
+def _prime_flags(limit):
+    flags = np.ones(limit + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
+    return flags
+
+
+PRIME_FLAGS = _prime_flags(GOLDBACH_LIMIT)
+
+
+def _brute_values(anchor, count, primes, offsets, count_self_hits):
+    n = anchor + 2 * np.arange(count)[:, None] + np.array(offsets)
+    values = np.zeros(count, dtype=np.int64)
+    for p in primes.tolist():
+        values += ((n % p == 0) & (count_self_hits | (n != p))).sum(axis=1)
+    return values
+
+
+def _window_case(draw_offsets, anchor_seed, m0_half, length_seed):
+    """An admissible constellation and a window [anchor, end) with end <= m0^2."""
+    constellation = Constellation("drawn", (0, *sorted(draw_offsets)))
+    assume(is_admissible(constellation).admissible)
+    m0 = 2 * m0_half + 1
+    sixes = anchor_seed % max(1, (m0 * m0 - 7) // 6)
+    anchor = 6 * sixes + (5 if anchor_seed % 2 == 0 else 7)
+    end = anchor + 1 + length_seed % (m0 * m0 - anchor)
+    return constellation, build_basis(m0), Window(anchor, end)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    sets(sampled_from(range(2, 27, 2)), max_size=3),
+    integers(min_value=0, max_value=15_000),
+    integers(min_value=1, max_value=149),
+    integers(min_value=0, max_value=10**6),
+    integers(min_value=1, max_value=17),
+    sampled_from(("counts", "mask")),
+    booleans(),
+    sampled_from(BLOCK_SIZES),
+)
+def test_certified_count_matches_classical_oracle(
+    offsets, anchor_seed, m0_half, length_seed, segments, mode, count_self_hits, block
+):
+    constellation, basis, window = _window_case(offsets, anchor_seed, m0_half, length_seed)
+    with mock.patch.object(engine, "_BLOCK", block):
+        trace = composite_signal(
+            basis, window, constellation, segments=segments,
+            count_self_hits=count_self_hits, mode=mode,
+        )
+    got = certify(trace).count
+    if count_self_hits:
+        # a literal hit kills every member that is itself a basis prime,
+        # so only tuples starting above m0 survive
+        anchor = first_candidate_above(max(basis.m0, window.anchor - 1))
+        want = 0
+        if anchor < window.end:
+            want = classical_oracle_count(Window(anchor, window.end), constellation)
+    else:
+        want = classical_oracle_count(window, constellation)
+    assert got == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sets(sampled_from(range(2, 27, 2)), max_size=3),
+    integers(min_value=0, max_value=3_000),
+    integers(min_value=1, max_value=60),
+    integers(min_value=0, max_value=10**6),
+    booleans(),
+    sampled_from(BLOCK_SIZES),
+)
+def test_signal_matches_brute_force_and_modes_agree(
+    offsets, anchor_seed, m0_half, length_seed, count_self_hits, block
+):
+    constellation, basis, window = _window_case(offsets, anchor_seed, m0_half, length_seed)
+    with mock.patch.object(engine, "_BLOCK", block):
+        counts = composite_signal(basis, window, constellation, count_self_hits=count_self_hits)
+        mask = composite_signal(
+            basis, window, constellation, count_self_hits=count_self_hits, mode="mask"
+        )
+    want = _brute_values(
+        window.anchor, window.positions, basis.primes, constellation.offsets, count_self_hits
+    )
+    assert counts.values.tolist() == want.tolist()
+    # mask mode without self-hits patches its prefix from counts; this
+    # pins the patch to the whole-window truth
+    assert np.array_equal(mask.zero_mask(), counts.values == 0)
+    survivors = certify(mask, survivors=True)
+    assert survivors == certify(counts, survivors=True)
+    if count_self_hits:
+        derived = proper_signal(counts).values
+        assert derived.tolist() == _brute_values(
+            window.anchor, window.positions, basis.primes, constellation.offsets, False
+        ).tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(integers(min_value=4, max_value=GOLDBACH_LIMIT // 2), sampled_from(BLOCK_SIZES))
+def test_goldbach_matches_brute_force(half, block):
+    even = 2 * half
+    n = np.arange(3, half + 1, 2)
+    want = n[PRIME_FLAGS[n] & PRIME_FLAGS[even - n]]
+    with mock.patch.object(engine, "_BLOCK", block):
+        result = goldbach_count(even, survivors=True)
+    assert result.count == want.size
+    assert result.survivors == tuple(want.tolist())
