@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -21,7 +22,14 @@ from .constellations import (
 )
 from .correlation import tau_table, variance_decomposition
 from .diophantine import canonical_seed, is_prime_candidate, structural_is_prime
-from .engine import Window, certify, composite_signal, goldbach_count
+from .engine import (
+    MAX_FOURIER_PMAX,
+    MAX_PRIME_N,
+    Window,
+    certify,
+    composite_signal,
+    goldbach_count,
+)
 from .errors import InvariantError
 from .fourier import tau_fourier, weighted_ergodic_sum
 from .harness import (
@@ -177,8 +185,8 @@ def _cmd_equidist(args: argparse.Namespace) -> int:
 
 
 def _cmd_fourier(args: argparse.Namespace) -> int:
-    if args.pmax < 5:
-        raise ValueError(f"pmax must be >= 5, got {args.pmax}")
+    if not 5 <= args.pmax <= MAX_FOURIER_PMAX:
+        raise ValueError(f"pmax must be in [5, {MAX_FOURIER_PMAX}], got {args.pmax}")
     print("p,k,closed,dft_re,dft_im")
     for p in odd_primes_upto(args.pmax):
         if p < 5:
@@ -265,7 +273,9 @@ def _add_sweep_flags(sub: argparse.ArgumentParser, *, tuple_flag: bool = True) -
                      help="output formats, comma-separated csv,json (default: csv)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser: building it costs more than most queries."""
     parser = argparse.ArgumentParser(
         prog="gearsieve",
         description="Deterministic constellation sieve and its statistics",
@@ -274,15 +284,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("seed", help="canonical two-three decomposition of n")
     p.add_argument("n", type=int)
-    p.set_defaults(func=_cmd_seed)
 
     p = sub.add_parser("prime", help="structural primality of n")
-    p.add_argument("n", type=int)
-    p.set_defaults(func=_cmd_prime)
+    p.add_argument("n", type=int, help=f"integer in (3, {MAX_PRIME_N}]")
 
     p = sub.add_parser("admissible", help="admissibility report for a pattern")
     p.add_argument("offsets", help="offset pattern, comma-separated, e.g. 0,2,6")
-    p.set_defaults(func=_cmd_admissible)
 
     p = sub.add_parser("scan", help="certified constellation count over a window")
     p.add_argument("--m0", type=int, required=True,
@@ -297,13 +304,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="partition count, >= 1; accepted for compatibility, the "
                         "striding pass always runs fixed cache-sized blocks "
                         "(default: 1)")
-    p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("tau", help="per-distance survival table for one prime")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--tuple", default="0,2",
                    help="offset pattern (default: 0,2)")
-    p.set_defaults(func=_cmd_tau)
 
     p = sub.add_parser("moments", help="count moments and derived ratios")
     p.add_argument("--m0", type=int, required=True)
@@ -314,24 +319,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu-source", choices=("observed", "expected"),
                    default="observed",
                    help="mean source for the report (default: observed)")
-    p.set_defaults(func=_cmd_moments)
 
     p = sub.add_parser("equidist", help="weighted equidistribution sum at one m0")
     p.add_argument("--m0", type=int, required=True)
     p.add_argument("--convention", choices=("appendix_c", "section4"),
                    default="appendix_c",
                    help="weight-table indexing (default: appendix_c)")
-    p.set_defaults(func=_cmd_equidist)
 
     p = sub.add_parser("fourier", help="closed-form vs DFT coefficient table")
-    p.add_argument("--pmax", type=int, required=True)
-    p.set_defaults(func=_cmd_fourier)
+    p.add_argument("--pmax", type=int, required=True,
+                   help=f"largest prime, 5 to {MAX_FOURIER_PMAX}")
 
     p = sub.add_parser("goldbach", help="certified two-prime decompositions")
     p.add_argument("--even", type=int, required=True)
     p.add_argument("--survivors", action="store_true",
                    help="include the surviving first members")
-    p.set_defaults(func=_cmd_goldbach)
 
     p = sub.add_parser("table1", help="signal statistics sweep")
     _add_sweep_flags(p)
@@ -343,22 +345,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="twin-count convention (default: inclusive)")
     p.add_argument("--diagnostic", action="store_true",
                    help="emit both twin-count conventions side by side")
-    p.set_defaults(func=_cmd_table1)
 
     p = sub.add_parser("table2", help="variance decomposition sweep")
     _add_sweep_flags(p)
-    p.set_defaults(func=_cmd_table2)
 
     p = sub.add_parser("table3", help="equidistribution sweep with decay fit")
     _add_sweep_flags(p, tuple_flag=False)
     p.add_argument("--convention", choices=("appendix_c", "section4"),
                    default="appendix_c",
                    help="weight-table indexing (default: appendix_c)")
-    p.set_defaults(func=_cmd_table3)
 
     p = sub.add_parser("figures", help="figure data series as CSV files")
     _add_sweep_flags(p)
-    p.set_defaults(func=_cmd_figures)
 
     p = sub.add_parser("fit", help="decay-exponent fit over an m0 ladder")
     p.add_argument("--m0-list", default=None,
@@ -366,16 +364,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--convention", choices=("appendix_c", "section4"),
                    default="appendix_c",
                    help="weight-table indexing (default: appendix_c)")
-    p.set_defaults(func=_cmd_fit)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # Looked up at call time, so a rebound handler is the one that runs.
+    handler = globals()[f"_cmd_{args.command}"]
     try:
-        return args.func(args)
+        return handler(args)
     except InvariantError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 4

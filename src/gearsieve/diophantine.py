@@ -8,13 +8,23 @@ modulus m_k walks down through every odd integer in [3, m0]. A candidate N
 has m_k dividing its phase n_k, which is trial division by odd moduli in
 disguise: m_k | n_k implies m_k | N.
 
-All arithmetic stays in machine integers; supported inputs fit 64 bits.
+The test evaluates the gears in numpy blocks of ascending moduli and stops
+at the first block holding a divisor, so most composites stop in the first
+block. Inputs are bounded by `engine.MAX_PRIME_N` (10^16), which keeps
+every gear phase and modulus inside int64.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
+
+from .engine import MAX_PRIME_N
+
+# Moduli per block of the vectorized gear test.
+_PRIME_BLOCK = 4096
 
 # n mod 3 -> the unique n0 in {0,1,2} with 2*n0 == n (mod 3)
 _OFFSET_FOR_RESIDUE = (0, 2, 1)
@@ -79,26 +89,29 @@ def structural_is_prime(n: int) -> bool:
     """Primality via gear phases: no m_k in (1, isqrt(n)] may divide n_k.
 
     Rejects n <= 3 outright; callers that care about 2 and 3 must handle
-    them before asking. Only gears with small enough moduli are visited,
-    so the cost is O(sqrt(n)) iterations, not O(m0).
+    them before asking. n above MAX_PRIME_N is rejected too. Only gears
+    with moduli up to isqrt(n) are visited, in blocks of _PRIME_BLOCK
+    moduli from 3 upward, and the walk stops at the first block where some
+    m_k divides n_k. The answer does not depend on the order, only the
+    cost: O(sqrt(n)) for a prime, one block for most composites.
     """
     if n <= 3:
         raise ValueError(f"structural test is defined for n > 3, got {n}")
+    if n > MAX_PRIME_N:
+        raise ValueError(f"structural test supports n up to {MAX_PRIME_N}, got {n}")
     seed = canonical_seed(n)
     if not is_prime_candidate(seed):
         return False
     root = math.isqrt(n)
-    if root < 3:
-        return True
-    # First index k with m_k <= root; moduli descend by 2 per step.
-    k = (seed.m0 - root + 1) // 2
-    if k < 0:
-        k = 0
-    m_k = seed.m0 - 2 * k
-    n_k = seed.n0 + 3 * k
-    while m_k >= 3:
-        if n_k % m_k == 0:
+    top = root if root % 2 == 1 else root - 1  # largest odd modulus <= root
+    # The gear with modulus m sits at k = (m0 - m) / 2, so its phase is
+    # n0 + 3 (m0 - m) / 2; across a block both move by a fixed step.
+    steps = np.arange(min(_PRIME_BLOCK, (top - 1) // 2), dtype=np.int64)
+    twice, thrice = 2 * steps, 3 * steps
+    for lo in range(3, top + 1, 2 * _PRIME_BLOCK):
+        width = min(_PRIME_BLOCK, (top - lo) // 2 + 1)
+        m = lo + twice[:width]
+        n_k = seed.n0 + 3 * ((seed.m0 - lo) // 2) - thrice[:width]
+        if not (n_k % m).all():
             return False
-        n_k += 3
-        m_k -= 2
     return True

@@ -28,8 +28,14 @@ from .constellations import Constellation, is_admissible, omega
 from .errors import InvariantError
 from .primes import odd_primes_upto, primes_upto
 
-# Windows larger than this are out of scope for every operation here.
+# Domain limits of the public entry points, kept in one place.
+# Windows (and Goldbach even values) larger than this are out of scope.
 MAX_WINDOW_END = 10**9
+# Structural primality walks isqrt(n)/2 moduli, about 0.4 s at this size,
+# and keeps every gear phase and modulus well inside int64.
+MAX_PRIME_N = 10**16
+# `gearsieve fourier` runs an O(p^2) DFT for every prime up to its bound.
+MAX_FOURIER_PMAX = 1000
 
 # Sized so the oracle's working arrays stay near L2.
 _ORACLE_CHUNK = 2_000_000
@@ -164,33 +170,35 @@ def _stride_blocks(start, count, primes, offsets, modulus, lanes, dtype):
     start + 2c + h + 2*modulus*t, so p | member exactly when
     t = -(start + 2c + h) / (2*modulus) mod p. Primes dividing modulus are
     skipped; the caller accounts for them through its choice of lanes.
-    Yields (t_lo, block) for t_lo = 0, _BLOCK, ...: block[i, j] covers
-    t = t_lo + j of lane lanes[i] and holds its hit count (an integer
-    dtype) or whether it was hit at all (bool). Columns past the last
-    position are garbage. The buffer is reused, so consume each block
-    before asking for the next.
+    Yields (t_lo, i, row) for t_lo = 0, _BLOCK, ... and, within each
+    block, every lane index i in turn: row[j] covers t = t_lo + j of lane
+    lanes[i] and holds its hit count (an integer dtype) or whether it was
+    hit at all (bool). Entries past the last position are garbage. The one
+    row buffer is reused, so consume each row before asking for the next.
     """
     ps = np.array([p for p in primes.tolist() if modulus % p != 0], dtype=np.int64)
     n_t = -(-count // modulus)
-    block = np.zeros((len(lanes), min(_BLOCK, n_t)), dtype=dtype)
-    # Triples run lane by lane, then offset, then prime, so one lane's
+    row = np.zeros(min(_BLOCK, n_t), dtype=dtype)
+    # Triples run lane by lane, then offset, then prime, so the lane's
     # row stays in cache while every prime strides it.
     inv = np.array([pow(2 * modulus, -1, p) for p in ps.tolist()], dtype=np.int64)
     bases = np.array([start + 2 * c + h for c in lanes for h in offsets], dtype=np.int64)
     t0 = ((-bases[:, None] % ps) * inv % ps).ravel()
     step = np.broadcast_to(ps, (bases.size, ps.size)).ravel()
-    rows = [row for row in block for _ in range(len(offsets) * ps.size)]
     steps = step.tolist()
-    counts = block.dtype != bool
+    per_lane = len(offsets) * ps.size
+    counts = row.dtype != bool
     for t_lo in range(0, n_t, _BLOCK):
-        block.fill(0)
         firsts = ((t0 - t_lo) % step).tolist()
-        for row, first, p in zip(rows, firsts, steps):
-            if counts:
-                row[first::p] += 1
-            else:
-                row[first::p] = True
-        yield t_lo, block
+        for i in range(len(lanes)):
+            row.fill(0)
+            lane = slice(i * per_lane, (i + 1) * per_lane)
+            for first, p in zip(firsts[lane], steps[lane]):
+                if counts:
+                    row[first::p] += 1
+                else:
+                    row[first::p] = True
+            yield t_lo, i, row
 
 
 def _self_hit_positions(
@@ -235,12 +243,39 @@ def signal_values(
     if segments < 1:
         raise ValueError(f"segment count must be >= 1, got {segments}")
     values = np.empty(count, dtype=_counter_dtype(start, count, offsets))
-    for t_lo, block in _stride_blocks(start, count, primes, offsets, 1, [0], values.dtype):
-        width = min(block.shape[1], count - t_lo)
-        values[t_lo : t_lo + width] = block[0, :width]
+    for t_lo, _, row in _stride_blocks(start, count, primes, offsets, 1, [0], values.dtype):
+        width = min(row.size, count - t_lo)
+        values[t_lo : t_lo + width] = row[:width]
     if not count_self_hits:
         _drop_self_hits(values, start, primes, offsets)
     return values
+
+
+def _wheel_plan(start, count, primes, offsets, count_self_hits):
+    """Mask mode's wheel lanes and exact head: (modulus, lanes, head_zero).
+
+    Wheel primes (3 and 5, when in the basis) are handled by construction:
+    only the lanes r mod modulus where none of them divides a member are
+    sieved, and every other position is a hit. Without self-hits, these
+    literal marks are wrong only where a member is +-p for a basis prime p.
+    Those positions lie in a prefix that ends at the last of them (in a
+    window, where members pass the basis bound); head_zero is the exact
+    (S_C(r) == 0) over that prefix, from counts, and is empty otherwise.
+    """
+    in_basis = set(primes.tolist())
+    wheel = [q for q in _WHEEL if q in in_basis]
+    modulus = math.prod(wheel)
+    lanes = [
+        c for c in range(modulus)
+        if all((start + 2 * c + h) % q != 0 for q in wheel for h in offsets)
+    ]
+    head_zero = np.zeros(0, dtype=bool)
+    if not count_self_hits:
+        hits = _self_hit_positions(start, count, primes, offsets)
+        if hits.size:
+            head = int(hits.max()) + 1
+            head_zero = signal_values(start, head, primes, offsets, count_self_hits=False) == 0
+    return modulus, lanes, head_zero
 
 
 def _survivor_bits(
@@ -252,39 +287,52 @@ def _survivor_bits(
 ) -> np.ndarray:
     """packbits of (S_C(r) == 0) over positions start + 2r, r < count.
 
-    Wheel primes (3 and 5, when in the basis) are handled by construction:
-    only the lanes r mod 15 where none of them divides a member are
-    sieved, and every other position is a hit. Without self-hits, these
-    literal marks are wrong only where a member is +-p for a basis prime p.
-    Those positions lie in a prefix that ends at the last of them (in a
-    window, where members pass the basis bound), and that prefix is
-    recomputed exactly from counts.
+    Each block of wheel lanes is interleaved back into position order and
+    packed; the exact head from `_wheel_plan` then replaces its prefix.
     """
-    in_basis = set(primes.tolist())
-    wheel = [q for q in _WHEEL if q in in_basis]
-    modulus = math.prod(wheel)
-    lanes = [
-        c for c in range(modulus)
-        if all((start + 2 * c + h) % q != 0 for q in wheel for h in offsets)
-    ]
+    modulus, lanes, head_zero = _wheel_plan(start, count, primes, offsets, count_self_hits)
     bits = np.zeros((count + 7) // 8, dtype=np.uint8)
     chunk = np.zeros((min(_BLOCK, -(-count // modulus)), modulus), dtype=bool)
-    for t_lo, block in _stride_blocks(start, count, primes, offsets, modulus, lanes, bool):
+    for t_lo, i, row in _stride_blocks(start, count, primes, offsets, modulus, lanes, bool):
         lo = modulus * t_lo
         width = min(chunk.shape[0], -(-(count - lo) // modulus))
-        chunk[:width, lanes] = ~block[:, :width].T
-        packed = np.packbits(chunk[:width].reshape(-1)[: count - lo])
-        bits[lo // 8 : lo // 8 + packed.size] = packed
-    if not count_self_hits:
-        hits = _self_hit_positions(start, count, primes, offsets)
-        if hits.size:
-            head = int(hits.max()) + 1
-            exact = signal_values(start, head, primes, offsets, count_self_hits=False) == 0
-            nbytes = (head + 7) // 8
-            prefix = np.unpackbits(bits[:nbytes])
-            prefix[:head] = exact
-            bits[:nbytes] = np.packbits(prefix)
+        chunk[:width, lanes[i]] = ~row[:width]
+        if i == len(lanes) - 1:
+            packed = np.packbits(chunk[:width].reshape(-1)[: count - lo])
+            bits[lo // 8 : lo // 8 + packed.size] = packed
+    if head_zero.size:
+        nbytes = (head_zero.size + 7) // 8
+        prefix = np.unpackbits(bits[:nbytes])
+        prefix[: head_zero.size] = head_zero
+        bits[:nbytes] = np.packbits(prefix)
     return bits
+
+
+def _survivor_count(
+    start: int,
+    count: int,
+    primes: np.ndarray,
+    offsets: tuple[int, ...],
+    count_self_hits: bool,
+) -> int:
+    """Positions r < count with S_C(r) == 0, without packing any bits.
+
+    Counts the unhit entries of each wheel lane's row, block by block,
+    past the exact head from `_wheel_plan`, whose survivors it adds.
+    """
+    modulus, lanes, head_zero = _wheel_plan(start, count, primes, offsets, count_self_hits)
+    head = head_zero.size
+    # Lane c holds r = c + modulus*t: t < ends[i] is inside the window and
+    # t < heads[i] is inside the head.
+    ends = [-(-(count - c) // modulus) for c in lanes]
+    heads = [max(0, -(-(head - c) // modulus)) for c in lanes]
+    total = int(np.count_nonzero(head_zero))
+    for t_lo, i, row in _stride_blocks(start, count, primes, offsets, modulus, lanes, bool):
+        a = max(heads[i] - t_lo, 0)
+        b = min(ends[i] - t_lo, row.size)
+        if b > a:
+            total += b - a - int(np.count_nonzero(row[a:b]))
+    return total
 
 
 def _count_bits(bits: np.ndarray, n: int) -> int:
@@ -416,6 +464,7 @@ def goldbach_count(even_n: int, survivors: bool = False) -> CertifiedResult:
     equal to a member is excluded, which keeps small prime members alive.
     This is the window core with offsets (0, -even_n) over n = 3 + 2i:
     the second member n - even_n is hit exactly when p | even_n - n.
+    A count alone is taken from the core's lane rows, with no packed bits.
     """
     if even_n % 2 != 0 or even_n < 8:
         raise ValueError(f"goldbach count expects an even integer >= 8, got {even_n}")
@@ -428,12 +477,11 @@ def goldbach_count(even_n: int, survivors: bool = False) -> CertifiedResult:
         root += 1
     m0 = root if root % 2 == 1 else root + 1
     count = (even_n // 2 - 3) // 2 + 1  # odd n = 3 + 2i up to even_n/2
-    bits = _survivor_bits(3, count, odd_primes_upto(m0), (0, -even_n), count_self_hits=False)
-    total = _count_bits(bits, count)
+    args = (3, count, odd_primes_upto(m0), (0, -even_n), False)
     if not survivors:
-        return CertifiedResult(count=total)
-    values = 3 + 2 * np.flatnonzero(np.unpackbits(bits, count=count))
-    return CertifiedResult(count=total, survivors=tuple(int(v) for v in values))
+        return CertifiedResult(count=_survivor_count(*args))
+    values = 3 + 2 * np.flatnonzero(np.unpackbits(_survivor_bits(*args), count=count))
+    return CertifiedResult(count=int(values.size), survivors=tuple(int(v) for v in values))
 
 
 def torus_average(basis_primes, constellation: Constellation) -> Fraction:

@@ -1,11 +1,15 @@
 """Command-line surface: subcommands, formats, exit codes."""
 
+import argparse
 import json
+import time
+from unittest import mock
 
 import pytest
 
+from gearsieve import cli
 from gearsieve.cli import main
-from gearsieve.engine import MAX_WINDOW_END
+from gearsieve.engine import MAX_FOURIER_PMAX, MAX_WINDOW_END
 
 
 def test_seed_command(capsys):
@@ -85,6 +89,41 @@ def test_fourier_command(capsys):
     assert lines[0] == "p,k,closed,dft_re,dft_im"
     assert len(lines) == 1 + 5 + 7
     assert lines[1].startswith("5,0,0.36,")
+
+
+def test_fourier_pmax_above_cap_exits_two(capsys):
+    assert main(["fourier", "--pmax", str(MAX_FOURIER_PMAX + 1)]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_prime_above_bound_exits_two_at_once(capsys):
+    start = time.perf_counter()
+    assert main(["prime", "1000000000000000003"]) == 2
+    # an unbounded walk over its 5e8 moduli would take minutes
+    assert time.perf_counter() - start < 2.0
+    assert "10000000000000000" in capsys.readouterr().err
+
+
+def test_main_parses_once_and_dispatches_by_command(capsys):
+    cli.build_parser.cache_clear()
+    assert main(["seed", "37"]) == 0
+    assert json.loads(capsys.readouterr().out)["m0"] == 11
+    assert main(["prime", "91"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"n": 91, "prime": False}
+    assert cli.build_parser.cache_info().misses == 1
+    # handlers are looked up when called, so a rebound one is the one run
+    with mock.patch.object(cli, "_cmd_seed", return_value=0) as handler:
+        assert main(["seed", "37"]) == 0
+    handler.assert_called_once()
+    assert capsys.readouterr().out == ""
+
+
+def test_every_subcommand_has_a_handler():
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert len(commands.choices) == 14
+    for name in commands.choices:
+        assert callable(getattr(cli, f"_cmd_{name}")), name
 
 
 def test_goldbach_command(capsys):

@@ -1,17 +1,61 @@
 """Canonical seed decomposition, gear sequences, structural primality."""
 
 import math
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis.strategies import integers
 
+from gearsieve import diophantine
 from gearsieve.diophantine import (
     canonical_seed,
     gear_sequence,
     is_prime_candidate,
     structural_is_prime,
 )
+from gearsieve.engine import MAX_PRIME_N
+
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime_mr(n):
+    """Deterministic Miller-Rabin with the first 12 prime bases.
+
+    These bases have no strong liar below 3.3e24, far past MAX_PRIME_N.
+    Shares nothing with the gear test: no trial division beyond the bases.
+    """
+    if n < 2:
+        return False
+    for p in MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _next_prime(n):
+    while not _is_prime_mr(n):
+        n += 1
+    return n
+
+
+def _prev_prime(n):
+    while not _is_prime_mr(n):
+        n -= 1
+    return n
 
 
 def _sieve_primes(limit):
@@ -129,3 +173,49 @@ def test_structural_agrees_with_factor_search(n):
         return
     has_factor = any(n % d == 0 for d in range(5, math.isqrt(n) + 1, 2))
     assert structural_is_prime(n) == (not has_factor)
+
+
+@settings(max_examples=60, deadline=None)
+@given(integers(min_value=4, max_value=MAX_PRIME_N))
+def test_structural_agrees_with_miller_rabin(n):
+    assert structural_is_prime(n) == _is_prime_mr(n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(integers(min_value=4, max_value=10**13), integers(min_value=3, max_value=10**6))
+def test_structural_agrees_with_miller_rabin_on_hard_inputs(x, q):
+    # primes and products of neighbouring primes walk every modulus
+    q = _next_prime(q)
+    for n in (_next_prime(x), q * _next_prime(q + 1)):
+        assert structural_is_prime(n) == _is_prime_mr(n), n
+
+
+def test_structural_at_the_bound():
+    # both walk every modulus; q*q meets its factor at the very last one
+    assert structural_is_prime(_prev_prime(MAX_PRIME_N))
+    q = _prev_prime(math.isqrt(MAX_PRIME_N))
+    assert not structural_is_prime(q * q)
+    with pytest.raises(ValueError):
+        structural_is_prime(MAX_PRIME_N + 1)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 4, 5, 7, diophantine._PRIME_BLOCK])
+def test_structural_block_edges(block):
+    """Squares and products of the primes on both sides of each block edge.
+
+    Block j - 1 ends at modulus a = 1 + 2*block*j and block j starts at
+    a + 2. With q1 <= a < a + 2 <= q2 the nearest primes, q1^2 and q2^2
+    meet their factor at the last modulus, isqrt(n), and q1 * q2 and
+    q2 * q3 put isqrt(n) just above an edge prime. The next prime above
+    each product walks every modulus up to its root.
+    """
+    cases = []
+    for j in range(1, 5):
+        a = 1 + 2 * block * j
+        q1, q2 = _prev_prime(a), _next_prime(a + 2)
+        q3 = _next_prime(q2 + 1)
+        for n in (q1 * q1, q2 * q2, q1 * q2, q2 * q3):
+            cases += [n, _next_prime(n)]
+    with mock.patch.object(diophantine, "_PRIME_BLOCK", block):
+        for n in cases:
+            assert structural_is_prime(n) == _is_prime_mr(n), n

@@ -128,6 +128,25 @@ def test_signal_matches_brute_force_and_modes_agree(
         ).tolist()
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    sets(sampled_from(range(2, 121, 2)), max_size=3),
+    integers(min_value=0, max_value=2_000),
+    integers(min_value=1, max_value=40),
+    integers(min_value=1, max_value=3_000),
+    booleans(),
+    sampled_from(BLOCK_SIZES),
+)
+def test_survivor_count_matches_brute_force(offsets, start_half, m0_half, count, count_self_hits, block):
+    # starts from 1 put members 1 and primes above m0 into the self-hit head
+    offsets = (0, *sorted(offsets))
+    start, primes = 2 * start_half + 1, build_basis(2 * m0_half + 1).primes
+    want = _brute_values(start, count, primes, offsets, count_self_hits)
+    with mock.patch.object(engine, "_BLOCK", block):
+        got = engine._survivor_count(start, count, primes, offsets, count_self_hits)
+    assert got == int(np.count_nonzero(want == 0))
+
+
 @settings(max_examples=150, deadline=None)
 @given(integers(min_value=4, max_value=GOLDBACH_LIMIT // 2), sampled_from(BLOCK_SIZES))
 def test_goldbach_matches_brute_force(half, block):
@@ -135,6 +154,10 @@ def test_goldbach_matches_brute_force(half, block):
     n = np.arange(3, half + 1, 2)
     want = n[PRIME_FLAGS[n] & PRIME_FLAGS[even - n]]
     with mock.patch.object(engine, "_BLOCK", block):
-        result = goldbach_count(even, survivors=True)
-    assert result.count == want.size
-    assert result.survivors == tuple(want.tolist())
+        counted = goldbach_count(even)
+        listed = goldbach_count(even, survivors=True)
+    # the count-only path packs no bits, so it is checked on its own
+    assert counted.count == want.size
+    assert counted.survivors is None
+    assert len(listed.survivors) == want.size
+    assert listed.survivors == tuple(want.tolist())
