@@ -26,7 +26,9 @@ import numpy as np
 
 from .constellations import Constellation, is_admissible, omega
 from .errors import InvariantError
-from .primes import odd_primes_upto, primes_upto
+# primes_upto is not called here any more; benchmarks/tracing.py times
+# the prime table by rebinding engine.primes_upto, so the name stays.
+from .primes import odd_primes_upto, primes_upto  # noqa: F401
 
 # Domain limits of the public entry points, kept in one place.
 # Windows (and Goldbach even values) larger than this are out of scope.
@@ -36,9 +38,6 @@ MAX_WINDOW_END = 10**9
 MAX_PRIME_N = 10**16
 # `gearsieve fourier` runs an O(p^2) DFT for every prime up to its bound.
 MAX_FOURIER_PMAX = 1000
-
-# Sized so the oracle's working arrays stay near L2.
-_ORACLE_CHUNK = 2_000_000
 
 # Entries per lane that one block strides: a lane this long stays in L2
 # while every (prime, offset) pair passes over it.
@@ -423,37 +422,18 @@ def certify(trace: SignalTrace, survivors: bool = False) -> CertifiedResult:
 def classical_oracle_count(window: Window, constellation: Constellation) -> int:
     """Count all-prime tuples in the window by an ordinary segmented sieve.
 
-    Deliberately shares nothing with the signal path: it sieves every
-    integer (even ones included) with all primes up to isqrt(end), then
-    ANDs shifted primality masks. Used as an independent cross-check.
+    The sieve is `oracle.count_prime_tuples`, which shares nothing with the
+    signal path, not even the prime table: an odd-only sieve of
+    Eratosthenes, presieved for 3 to 13, with base primes from its own
+    small sieve. Used as an independent cross-check.
     """
     if window.end > MAX_WINDOW_END:
         raise ValueError(f"window end {window.end} exceeds the supported {MAX_WINDOW_END}")
-    span = constellation.span
-    limit = window.end - span  # first member must satisfy n + span < end
-    if limit <= window.anchor:
-        return 0
-    base = primes_upto(math.isqrt(window.end - 1))
-    offsets = constellation.offsets
-    total = 0
-    for lo in range(window.anchor, limit, _ORACLE_CHUNK):
-        hi = min(lo + _ORACLE_CHUNK, limit)
-        seg_len = hi - lo + span
-        comp = np.zeros(seg_len, dtype=bool)
-        for p in base:
-            p = int(p)
-            first = max(p * p, ((lo + p - 1) // p) * p)
-            if first < lo + seg_len:
-                comp[first - lo :: p] = True
-        is_prime = ~comp
-        for v in (0, 1):
-            if lo <= v < lo + seg_len:
-                is_prime[v - lo] = False
-        acc = is_prime[: hi - lo].copy()
-        for h in offsets[1:]:
-            acc &= is_prime[h : h + hi - lo]
-        total += int(np.count_nonzero(acc))
-    return total
+    # Imported on first use: no CLI command calls the oracle, so none pays
+    # for loading it.
+    from .oracle import count_prime_tuples
+
+    return count_prime_tuples(window.anchor, window.end, constellation.offsets)
 
 
 def goldbach_count(even_n: int, survivors: bool = False) -> CertifiedResult:
