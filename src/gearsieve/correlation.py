@@ -9,8 +9,12 @@ tau_numerators evaluates that closed form for a whole period at once and
 is the one kernel behind every tau table; tau() counts the union per
 distance in Fraction arithmetic and serves as its oracle.
 
-Everything identity-shaped here stays in Fraction arithmetic; floats only
-appear at report boundaries (MomentReport fields, table cells).
+The exact results are exact integers or Fractions: the tau values, the
+CRT averages and, for windows of at most EXACT_POSITION_LIMIT positions,
+the covariance sum, whose integer part weighted_product_sum evaluates by
+multimodular int64 arithmetic and CRT. Floats appear at report boundaries
+(MomentReport fields, table cells) and in the float64 blocked/surviving
+split, which covers larger windows and cross-checks the exact sum.
 """
 
 from __future__ import annotations
@@ -22,12 +26,17 @@ from fractions import Fraction
 import numpy as np
 
 from .constellations import Constellation, density_product, is_admissible, omega
-from .engine import SieveBasis, Window, certify, composite_signal
+from .engine import MAX_WINDOW_END, SieveBasis, Window, certify, composite_signal
+from .errors import InvariantError
 from .primes import is_prime_trial, odd_primes_upto
 
-# Windows with at most this many positions get the exact integer-arithmetic
-# covariance sums; larger windows fall back to vectorized float64.
+# Windows with at most this many positions get the exact covariance sum
+# (weighted_product_sum); larger windows get the float64 split alone.
 EXACT_POSITION_LIMIT = 20_000
+# Entries of the exact sum's int64 work array, and of each chunk of the
+# float sums' arrays.
+_KERNEL_ENTRIES = 1 << 20
+_SUM_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -49,9 +58,11 @@ class LocalSurvival:
 class MomentReport:
     """Count moments of a certified window and the derived ratios.
 
-    sigma_off carries the preferred off-diagonal estimate (the direct sum
-    when the window is small enough, the blocked/surviving split
-    otherwise); both raw values are kept alongside when available.
+    sigma_off carries the preferred off-diagonal estimate. sigma_off_direct
+    is the exact sum, set when positions <= EXACT_POSITION_LIMIT;
+    sigma_off_split is the float64 blocked/surviving split, set whenever
+    the basis holds a blocking prime. sigma_off is the direct value when
+    there is one, the split otherwise.
     """
 
     m0: int
@@ -129,6 +140,14 @@ def tau_numerators(constellation: Constellation, p: int) -> list[int]:
     return (p - 2 * forbidden.size + overlap[2 * np.arange(p) % p]).tolist()
 
 
+def _table_base(nums: np.ndarray) -> tuple[int, np.ndarray]:
+    """The most common nonzero value of a table and the residues that differ from it."""
+    counts = np.bincount(nums)
+    counts[0] = 0
+    base = int(np.argmax(counts))
+    return base, np.flatnonzero(nums != base)
+
+
 def sparse_factors(tables) -> tuple[float, list[tuple[int, list[int], list[float]]]]:
     """Split a product of periodic tables into a constant and sparse corrections.
 
@@ -138,15 +157,12 @@ def sparse_factors(tables) -> tuple[float, list[tuple[int, list[int], list[float
     nums[r] != base. A tau table of a k-tuple leaves p - 2|F| at all but at
     most k(k-1) + 1 residues, so past the smallest primes the corrections
     are few. Returns that constant and (p, residues, factors) per table;
-    apply_sparse_factors multiplies them in.
+    sparse_products multiplies them in.
     """
     ps, bases, corrections = [], [], []
     for p, nums in tables:
         nums = np.asarray(nums, dtype=np.int64)
-        counts = np.bincount(nums)
-        counts[0] = 0
-        base = int(np.argmax(counts))
-        residues = np.flatnonzero(nums != base)
+        base, residues = _table_base(nums)
         ps.append(p)
         bases.append(base)
         corrections.append((p, residues.tolist(), (nums[residues] / base).tolist()))
@@ -154,11 +170,19 @@ def sparse_factors(tables) -> tuple[float, list[tuple[int, list[int], list[float
     return math.prod(bases) / math.prod(ps), corrections
 
 
-def apply_sparse_factors(acc: np.ndarray, corrections, start: int) -> None:
-    """Multiply acc[i] by each table's correction at residue (start + i) mod p."""
-    for p, residues, factors in corrections:
-        for r, f in zip(residues, factors):
-            acc[(r - start) % p :: p] *= f
+def sparse_products(const: float, corrections, lo: int, hi: int):
+    """Yield (start, acc) over [lo, hi) in chunks of at most _SUM_CHUNK entries.
+
+    acc[i] is const times each table's correction at residue
+    (start + i) mod p, applied in table order, so no value depends on the
+    chunking and a caller's fsum over every chunk is the same float.
+    """
+    for start in range(lo, hi, _SUM_CHUNK):
+        acc = np.full(min(_SUM_CHUNK, hi - start), const)
+        for p, residues, factors in corrections:
+            for r, f in zip(residues, factors):
+                acc[(r - start) % p :: p] *= f
+        yield start, acc
 
 
 def universal_average(constellation: Constellation, p: int) -> Fraction:
@@ -236,104 +260,132 @@ def asymptotic_report(m0: int, constellation: Constellation, anchor: int = 7) ->
     return AsymptoticReport(m0=m0, mu_N=mu, snr=snr, cv=1.0 / snr if snr > 0 else math.inf)
 
 
-def _split_weights(positions: int, p_b: int) -> tuple[int, int, int]:
-    """Closed-form weight sums over d in [1, positions).
+def _tables_at_multiples(constellation: Constellation, primes, stride: int):
+    """(p, table) per prime, where table[t] = n_p(stride * t mod p).
 
-    Returns (total, on_multiples, off_multiples) for the weights
-    (positions - d), split by whether p_b divides d.
+    Distance d = stride * j reads its factor at table[j % p], so every
+    sum over the multiples of stride runs over j.
     """
-    r = positions
-    total = r * (r - 1) // 2
-    dmax = (r - 1) // p_b
-    on = dmax * r - p_b * dmax * (dmax + 1) // 2
-    return total, on, total - on
+    return [
+        (p, np.asarray(tau_numerators(constellation, p), dtype=np.int64)[stride * np.arange(p) % p])
+        for p in primes
+    ]
+
+
+def weighted_product_sum(
+    constellation: Constellation, primes: list[int], positions: int, stride: int
+) -> int:
+    """W = sum_{j=1}^{J} (R - s j) * prod_p n_p(s j mod p), exactly.
+
+    R = positions, s = stride, J = (R - 1) // s and n_p = tau_numerators.
+    With s = 1 this is the weighted covariance sum over every distance;
+    with s a blocking prime of the basis it is the same sum, because
+    n_s(d) = 0 whenever s does not divide d.
+
+    Multimodular evaluation (Knuth, TAOCP vol. 2, 4.3.2): every term is
+    below R * prod p, so W < R^2 * prod p, and W is summed modulo enough
+    primes below 2^31 for their product to exceed that bound, in int64,
+    then rebuilt by CRT. Each product starts at the constant prod of the
+    tables' bases (sparse_factors' split); a prime whose table is mostly
+    off its base takes one gather instead, the others a strided slice per
+    correction residue scaled by the modular inverse of the base. Blocks
+    of moduli keep the work array near _KERNEL_ENTRIES entries.
+    """
+    # Imported on first use: no query command needs the exact sums.
+    from .exact import MODULUS_CAP, crt_moduli, crt_rebuild, modular_inverses
+
+    r, s = positions, stride
+    if r >= MODULUS_CAP:
+        raise ValueError(f"the exact sum keeps weights below 2^31, got {r} positions")
+    count = (r - 1) // s
+    if count <= 0:
+        return 0
+    bound = r * r * math.prod(primes)
+    moduli, product = crt_moduli(bound)
+    if product <= bound:
+        raise InvariantError(f"CRT moduli product does not exceed the bound {bound}")
+    dense, sparse = [], []
+    for p, nums in _tables_at_multiples(constellation, primes, s):
+        base, residues = _table_base(nums)
+        if 2 * residues.size >= p:
+            dense.append((p, nums))
+        else:
+            sparse.append((p, base, residues, nums[residues]))
+    base_product = math.prod(base for _, base, _, _ in sparse)
+    width = min(count, _KERNEL_ENTRIES)
+    rows = max(1, _KERNEL_ENTRIES // width)
+    remainders = []
+    for first in range(0, len(moduli), rows):
+        block = moduli[first : first + rows]
+        m = np.array(block, dtype=np.int64)[:, None]
+        const = np.array([base_product % q for q in block], dtype=np.int64)[:, None]
+        inverses = modular_inverses(np.array([b for _, b, _, _ in sparse], dtype=np.int64), m)
+        # One (rows, 1) factor per correction residue: n_p(t) / base mod m.
+        factors = [
+            (p, residues.tolist(), values[:, None, None] * inverses[None, :, i, None] % m)
+            for i, (p, _, residues, values) in enumerate(sparse)
+        ]
+        total = np.zeros_like(m)
+        for lo in range(1, count + 1, width):
+            j = np.arange(lo, min(lo + width, count + 1), dtype=np.int64)
+            acc = np.repeat(const, j.size, axis=1)
+            for p, nums in dense:
+                acc *= nums[j % p]
+                acc %= m
+            for p, residues, values in factors:
+                for t, f in zip(residues, values):
+                    view = acc[:, (t - lo) % p :: p]
+                    view *= f
+                    view %= m
+            acc *= r - s * j
+            acc %= m
+            total = (total + acc.sum(axis=1, keepdims=True)) % m
+        remainders += total.ravel().tolist()
+    return crt_rebuild(remainders, moduli, product)
 
 
 def _sigma_off_direct_exact(
-    constellation: Constellation, primes: list[int], positions: int
+    constellation: Constellation, primes: list[int], positions: int, stride: int
 ) -> Fraction:
     """Sum_{d=1}^{R-1} (R - d) * (prod_p tau_p(d) - mu^2), exactly.
 
     With Q = prod p and M = prod (p - omega(p)), each product of taus is
-    an integer over Q, so the whole sum collapses to integer arithmetic
-    with a single final division.
+    an integer over Q, so the whole sum is weighted_product_sum over Q
+    minus mu^2 times the total weight, with a single final division.
+    stride may be a blocking prime of the basis; the value is the same.
     """
-    r = positions
-    tables = [(p, tau_numerators(constellation, p)) for p in primes]
-    big_q = 1
-    big_m = 1
-    for p in primes:
-        big_q *= p
-        big_m *= p - omega(constellation, p)
-    weighted = 0
-    for d in range(1, r):
-        term = 1
-        for p, table in tables:
-            term *= table[d % p]
-        weighted += (r - d) * term
-    total_weight = r * (r - 1) // 2
-    return Fraction(weighted * big_q - big_m * big_m * total_weight, big_q * big_q)
-
-
-def _sigma_off_split_exact(
-    constellation: Constellation, primes: list[int], positions: int, p_b: int
-) -> Fraction:
-    """The blocked/surviving split of the same sum, exact.
-
-    Distances not divisible by the blocking prime contribute exactly
-    -mu^2 each (tau_{p_b} vanishes there); the surviving multiples keep
-    the reduced product over the other primes times 1/p_b.
-    """
-    r = positions
-    rest = [p for p in primes if p != p_b]
-    tables = [(p, tau_numerators(constellation, p)) for p in rest]
-    big_q = 1
-    big_m = 1
-    for p in primes:
-        big_q *= p
-        big_m *= p - omega(constellation, p)
-    total_weight, _, _ = _split_weights(r, p_b)
-    weighted = 0
-    for dp in range(1, (r - 1) // p_b + 1):
-        d = p_b * dp
-        term = 1
-        for p, table in tables:
-            term *= table[d % p]
-        weighted += (r - d) * term
-    # blocked part: -mu^2 * off_weight; surviving part folds the same
-    # denominator, leaving the identical closed form as the direct sum
-    # but with the reduced product (the full product vanishes off the
-    # multiples of p_b, and equals the reduced one on them).
+    big_q = math.prod(primes)
+    big_m = math.prod(p - omega(constellation, p) for p in primes)
+    weighted = weighted_product_sum(constellation, primes, positions, stride)
+    total_weight = positions * (positions - 1) // 2
     return Fraction(weighted * big_q - big_m * big_m * total_weight, big_q * big_q)
 
 
 def _sigma_off_split_float(
     constellation: Constellation, primes: list[int], positions: int, p_b: int
 ) -> float:
-    """Vectorized float64 version of the split sum for large windows.
+    """The blocked/surviving split of the covariance sum, in float64.
 
-    Entry j - 1 of the product is the reduced product at d = p_b * j;
-    reindexing each table by j mod p lets the sparse corrections run as
-    strided slices over j.
+    Distances not divisible by the blocking prime p_b contribute exactly
+    -mu^2 each (tau_{p_b} vanishes there); the multiples d = p_b * j keep
+    the product over the other primes times 1/p_b. Tables read at j mod p
+    let the sparse corrections run as strided slices over j, in chunks.
     """
+    from .exact import exact_float_sum
+
     r = positions
     dmax = (r - 1) // p_b
     mu = 1.0
     for p in primes:
         mu *= (p - omega(constellation, p)) / p
-    _, on_weight, off_weight = _split_weights(r, p_b)
-    if dmax == 0:
-        return -(mu * mu) * float(off_weight)
-    tables = []
-    for p in primes:
-        if p != p_b:
-            nums = np.asarray(tau_numerators(constellation, p))
-            tables.append((p, nums[p_b * np.arange(p) % p]))
-    const, corrections = sparse_factors(tables)
-    acc = np.full(dmax, const / p_b)
-    apply_sparse_factors(acc, corrections, start=1)
-    weights = (r - p_b * np.arange(1, dmax + 1)).astype(np.float64)
-    surviving = math.fsum(weights * (acc - mu * mu))
+    on_weight = dmax * r - p_b * dmax * (dmax + 1) // 2
+    off_weight = r * (r - 1) // 2 - on_weight
+    rest = [p for p in primes if p != p_b]
+    const, corrections = sparse_factors(_tables_at_multiples(constellation, rest, p_b))
+    surviving = exact_float_sum(
+        (r - p_b * np.arange(j, j + acc.size)).astype(np.float64) * (acc - mu * mu)
+        for j, acc in sparse_products(const / p_b, corrections, 1, dmax + 1)
+    )
     return surviving - (mu * mu) * float(off_weight)
 
 
@@ -348,13 +400,17 @@ def variance_decomposition(
 
     mu_N is the certified count (mu_source="observed", the default) or the
     mean-field expectation ("expected"). sigma_diag = mu (1 - mu/positions)
-    over the position count. sigma_off is the weighted covariance sum; the
-    direct evaluation runs when positions <= 20000, the blocked/surviving
-    split always (exact in the same regime, float64 beyond), and the
-    reported sigma_off prefers the direct value.
+    over the position count. sigma_off is the weighted covariance sum: the
+    exact multimodular sum when positions <= EXACT_POSITION_LIMIT, else
+    the float64 blocked/surviving split, which also runs beside the exact
+    sum as an independent check whenever the basis holds a blocking prime.
+    The window end is capped at MAX_WINDOW_END, since the split builds
+    float arrays (in chunks) over a third of the positions.
     """
     if mu_source not in ("observed", "expected"):
         raise ValueError(f"mu_source must be 'observed' or 'expected', got {mu_source}")
+    if window.end > MAX_WINDOW_END:
+        raise ValueError(f"window end {window.end} exceeds the supported {MAX_WINDOW_END}")
     report = is_admissible(constellation)
     if not report.admissible:
         raise ValueError(f"constellation {constellation.name} is not admissible")
@@ -375,15 +431,12 @@ def variance_decomposition(
 
     sigma_off_direct = None
     sigma_off_split = None
-    if positions <= EXACT_POSITION_LIMIT:
-        sigma_off_direct = float(_sigma_off_direct_exact(constellation, primes, positions))
-        if p_b is not None:
-            sigma_off_split = float(
-                _sigma_off_split_exact(constellation, primes, positions, p_b)
-            )
-    elif p_b is not None:
+    if p_b is not None:
         sigma_off_split = _sigma_off_split_float(constellation, primes, positions, p_b)
-    if sigma_off_direct is not None:
+    if positions <= EXACT_POSITION_LIMIT:
+        sigma_off_direct = float(
+            _sigma_off_direct_exact(constellation, primes, positions, p_b or 1)
+        )
         sigma_off = sigma_off_direct
     elif sigma_off_split is not None:
         sigma_off = sigma_off_split

@@ -11,13 +11,15 @@ exponential-sum lemmas (geometric tail bound and two-prime injectivity).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constellations import TWINS
-from .correlation import apply_sparse_factors, sparse_factors, tau_numerators
+from .correlation import sparse_factors, sparse_products, tau_numerators
+from .engine import MAX_WINDOW_END
 from .errors import InvariantError
 from .primes import odd_primes_upto
 
@@ -156,6 +158,8 @@ def weighted_ergodic_sum(m0: int, convention: str = "appendix_c", segments: int 
     """
     if m0 < 11:
         raise ValueError(f"weighted sum needs m0 >= 11, got {m0}")
+    if m0 * m0 > MAX_WINDOW_END:
+        raise ValueError(f"m0^2 = {m0 * m0} exceeds the supported window end {MAX_WINDOW_END}")
     if convention not in ("appendix_c", "section4"):
         raise ValueError(f"unknown convention {convention!r}")
     if segments < 1:
@@ -169,10 +173,15 @@ def weighted_ergodic_sum(m0: int, convention: str = "appendix_c", segments: int 
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         if lo >= hi:
             continue
-        acc = np.full(hi - lo, const)
-        apply_sparse_factors(acc, corrections, start=lo)
-        weights = big_l - 3.0 * np.arange(lo, hi, dtype=np.float64)
-        partials.append(math.fsum(weights * acc))
+        products = sparse_products(const, corrections, lo, hi)
+        partials.append(
+            math.fsum(
+                itertools.chain.from_iterable(
+                    (big_l - 3.0 * np.arange(start, start + acc.size, dtype=np.float64)) * acc
+                    for start, acc in products
+                )
+            )
+        )
     weighted = math.fsum(partials)
     h_bar = 1.0
     for p in ps:

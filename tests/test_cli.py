@@ -7,7 +7,7 @@ from unittest import mock
 
 import pytest
 
-from gearsieve import cli
+from gearsieve import cli, correlation, fourier
 from gearsieve.cli import main
 from gearsieve.engine import MAX_FOURIER_PMAX, MAX_WINDOW_END
 
@@ -81,6 +81,19 @@ def test_equidist_command(capsys):
     cells = lines[1].split(",")
     assert cells[0] == "30" and cells[1] == "900"
     assert abs(float(cells[2]) - 5279.37) < 0.01
+
+
+def test_float_sum_commands_past_window_cap_exit_two(capsys):
+    # m0 = 31623 puts m0^2 past MAX_WINDOW_END; both commands would build
+    # float arrays of about m0^2/3 entries, so the cap is checked first
+    assert 31623**2 > MAX_WINDOW_END
+    unreachable = AssertionError("the window cap was not checked first")
+    with mock.patch.object(fourier, "sparse_factors", side_effect=unreachable), \
+            mock.patch.object(correlation, "_sigma_off_split_float", side_effect=unreachable):
+        assert main(["equidist", "--m0", "31623"]) == 2
+        assert main(["moments", "--m0", "31623", "--mu-source", "expected"]) == 2
+    err = capsys.readouterr().err
+    assert err.count(str(MAX_WINDOW_END)) == 2
 
 
 def test_fourier_command(capsys):

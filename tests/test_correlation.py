@@ -6,11 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
-from hypothesis.strategies import integers, sampled_from, sets
+from hypothesis.strategies import booleans, floats, integers, lists, sampled_from, sets
 
+from gearsieve import correlation
 from gearsieve.constellations import COUSINS, SEXY, TWINS, Constellation, is_admissible, omega
 from gearsieve.correlation import (
     EXACT_POSITION_LIMIT,
+    _sigma_off_direct_exact,
     _sigma_off_split_float,
     asymptotic_report,
     crt_average,
@@ -22,8 +24,10 @@ from gearsieve.correlation import (
     tau_table,
     universal_average,
     variance_decomposition,
+    weighted_product_sum,
 )
-from gearsieve.engine import Window, build_basis
+from gearsieve.engine import MAX_WINDOW_END, Window, build_basis
+from gearsieve.exact import _primes_below_cap, crt_moduli, crt_rebuild, exact_float_sum
 from gearsieve.primes import odd_primes_upto
 
 TRIPLE = Constellation("triple", (0, 2, 6))
@@ -213,8 +217,9 @@ def test_variance_decomposition_sigma_diag_ladder_head():
 
 
 def test_variance_decomposition_near_exact_limit():
-    # positions = 19997 sits just under the exact-evaluation cutoff, so
-    # both the direct sum and the blocked split run in exact arithmetic
+    # positions = 19997 sits just under the exact-evaluation cutoff, so the
+    # direct sum runs in exact (multimodular) arithmetic, next to the float
+    # blocked split
     basis = build_basis(199)
     window = Window(7, 200 * 200)
     assert window.positions <= EXACT_POSITION_LIMIT
@@ -280,3 +285,176 @@ def test_asymptotic_report():
     assert abs(report.mu_N - 187.5406) < 5e-4
     assert abs(report.snr - math.sqrt(report.mu_N)) < 1e-12
     assert abs(report.cv - 1 / math.sqrt(report.mu_N)) < 1e-12
+
+
+def _bigint_weighted_sum(constellation, primes, positions, stride):
+    # the Python bigint loop the multimodular kernel replaced: every
+    # multiple d of stride below positions, full product of tau numerators
+    tables = [(p, tau_numerators(constellation, p)) for p in primes]
+    total = 0
+    for d in range(stride, positions, stride):
+        term = 1
+        for p, table in tables:
+            term *= table[d % p]
+        total += (positions - d) * term
+    return total
+
+
+def _smallest_blocking(constellation, primes):
+    blocking = [p for p in is_admissible(constellation).blocking if p in primes]
+    return min(blocking) if blocking else None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sets(integers(1, 12), min_size=1, max_size=3),
+    integers(3, 160),
+    integers(1, 3000),
+    booleans(),
+)
+def test_weighted_product_sum_matches_bigint_loop(halves, m0, positions, blocked_stride):
+    constellation = Constellation("random", (0, *sorted(2 * h for h in halves)))
+    assume(is_admissible(constellation).admissible)
+    primes = [int(p) for p in odd_primes_upto(m0)]
+    p_b = _smallest_blocking(constellation, primes)
+    stride = p_b if blocked_stride and p_b is not None else 1
+    want = _bigint_weighted_sum(constellation, primes, positions, 1)
+    assert weighted_product_sum(constellation, primes, positions, stride) == want
+    if stride != 1:
+        assert _bigint_weighted_sum(constellation, primes, positions, stride) == want
+
+
+def test_weighted_product_sum_named_tuples():
+    # SEXY has no blocking prime, so only the full stride applies
+    for constellation in (TWINS, SEXY, TRIPLE):
+        for m0 in (29, 99):
+            primes = [int(p) for p in odd_primes_upto(m0)]
+            positions = Window(7, (m0 + 1) ** 2).positions
+            want = _bigint_weighted_sum(constellation, primes, positions, 1)
+            strides = {1, _smallest_blocking(constellation, primes) or 1}
+            for stride in strides:
+                assert weighted_product_sum(constellation, primes, positions, stride) == want
+
+
+def test_weighted_product_sum_straddles_moduli_boundary():
+    # the fewest positions whose bound R^2 * prod p needs one more modulus:
+    # the sums on both sides of that step are exact
+    primes = [int(p) for p in odd_primes_upto(61)]
+    q = math.prod(primes)
+    moduli, product = crt_moduli(2 * 2 * q)
+    step = math.isqrt(product // q)
+    while step * step * q <= product:
+        step += 1
+    assert 2 < step <= 3000
+    for positions in (step - 1, step):
+        count = len(crt_moduli(positions * positions * q)[0])
+        assert count == len(moduli) + (positions == step)
+        want = _bigint_weighted_sum(TRIPLE, primes, positions, 1)
+        for stride in (1, 3):
+            assert weighted_product_sum(TRIPLE, primes, positions, stride) == want
+
+
+def test_crt_moduli_are_minimal():
+    moduli = _primes_below_cap(1 << 16)
+    for k in (1, 2, 7):
+        product = math.prod(moduli[:k])
+        assert crt_moduli(product - 1) == (moduli[:k], product)
+        assert crt_moduli(product)[0] == moduli[: k + 1]
+
+
+def test_crt_moduli_are_distinct_primes_below_cap():
+    moduli = np.array(_primes_below_cap(1 << 16), dtype=np.int64)
+    assert moduli.size > 2000
+    assert np.all(moduli < 2**31)
+    assert np.all(np.diff(moduli) < 0)
+    divisors = np.array([2, *odd_primes_upto(math.isqrt(2**31))], dtype=np.int64)
+    for block in np.array_split(moduli, 8):
+        assert not np.any(block[:, None] % divisors[None, :] == 0)
+
+
+def test_weighted_product_sum_large_basis_tiny_window(monkeypatch):
+    # m0 near 2000 needs about 90 moduli; a smaller work array splits them
+    # into many blocks
+    primes = [int(p) for p in odd_primes_upto(1999)]
+    positions = 50
+    assert len(crt_moduli(positions * positions * math.prod(primes))[0]) > 80
+    want = _bigint_weighted_sum(TWINS, primes, positions, 1)
+    report = variance_decomposition(build_basis(1999), Window(7, 106), TWINS, observed_count=3)
+    assert report.positions == positions
+    assert report.sigma_off_direct == float(_sigma_off_direct_exact(TWINS, primes, positions, 1))
+    for stride in (1, 3):
+        assert weighted_product_sum(TWINS, primes, positions, stride) == want
+    monkeypatch.setattr(correlation, "_KERNEL_ENTRIES", 400)
+    for stride in (1, 3):
+        assert weighted_product_sum(TWINS, primes, positions, stride) == want
+
+
+def test_weighted_product_sum_splits_distances(monkeypatch):
+    # a work array shorter than the distance count splits it into chunks
+    primes = [int(p) for p in odd_primes_upto(199)]
+    positions = 700
+    want = _bigint_weighted_sum(TRIPLE, primes, positions, 1)
+    for entries in (300, 64):
+        monkeypatch.setattr(correlation, "_KERNEL_ENTRIES", entries)
+        for stride in (1, 3):
+            assert weighted_product_sum(TRIPLE, primes, positions, stride) == want
+
+
+def test_sigma_off_split_float_matches_exact_sum():
+    # the float split against the exact multimodular sum at m0 = 500
+    primes = [int(p) for p in odd_primes_upto(499)]
+    positions = Window(7, 500 * 500).positions
+    exact = float(_sigma_off_direct_exact(TWINS, primes, positions, 3))
+    got = _sigma_off_split_float(TWINS, primes, positions, 3)
+    assert got == pytest.approx(exact, rel=1e-11)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lists(floats(-1e300, 1e300, allow_subnormal=True), max_size=300),
+    lists(integers(0, 300), max_size=4),
+)
+def test_exact_float_sum_equals_fsum(values, cuts):
+    x = np.array(values, dtype=np.float64)
+    chunks = np.split(x, sorted(min(c, x.size) for c in cuts))
+    assert exact_float_sum(chunks) == math.fsum(values)
+
+
+def test_exact_float_sum_extremes():
+    tiny = 2.0**-1074
+    cases = [
+        [],
+        [tiny, tiny, -tiny],
+        [1e300, 1.0, -1e300],
+        [2.0**53, 1.0, 1.0],
+        [0.1] * 10,
+        [1e-300 * k for k in range(-50, 51)] + [3.0],
+    ]
+    for values in cases:
+        assert exact_float_sum([np.array(values, dtype=np.float64)]) == math.fsum(values)
+
+
+def test_float_paths_chunk_invariant(monkeypatch):
+    basis, window = build_basis(149), Window(7, 150 * 150)
+    primes = [int(p) for p in basis.primes]
+    split = _sigma_off_split_float(TWINS, primes, window.positions, 3)
+    expected = variance_decomposition(basis, window, TWINS, mu_source="expected")
+    for size in (1000, 7):
+        monkeypatch.setattr(correlation, "_SUM_CHUNK", size)
+        assert _sigma_off_split_float(TWINS, primes, window.positions, 3) == split
+        assert variance_decomposition(basis, window, TWINS, mu_source="expected") == expected
+
+
+def test_variance_decomposition_rejects_window_past_cap(monkeypatch):
+    # checked before any per-distance array is built
+    def unreachable(*args):
+        raise AssertionError("the window cap was not checked first")
+
+    monkeypatch.setattr(correlation, "_sigma_off_split_float", unreachable)
+    monkeypatch.setattr(correlation, "weighted_product_sum", unreachable)
+    basis = build_basis(31623)
+    window = Window.for_capacity(31623)
+    assert window.end > MAX_WINDOW_END
+    for source in ("expected", "observed"):
+        with pytest.raises(ValueError, match="exceeds"):
+            variance_decomposition(basis, window, TWINS, mu_source=source)

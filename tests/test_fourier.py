@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from gearsieve import correlation, fourier
 from gearsieve.constellations import TWINS
 from gearsieve.correlation import tau
+from gearsieve.engine import MAX_WINDOW_END
 from gearsieve.fourier import (
     fit_decay_exponent,
     fit_power_law,
@@ -114,6 +116,27 @@ def test_weighted_ergodic_sum_segment_invariance():
     for segments in (2, 5, 13):
         again = weighted_ergodic_sum(50, segments=segments)
         assert again.weighted_sum == pytest.approx(base.weighted_sum, rel=1e-14)
+
+
+def test_weighted_ergodic_sum_chunk_invariant(monkeypatch):
+    # the arrays are built in chunks that feed one fsum, so any chunk size
+    # gives the same float, segments or not
+    reports = {(s, c): weighted_ergodic_sum(101, convention=c, segments=s)
+               for s in (1, 3) for c in ("appendix_c", "section4")}
+    for size in (1000, 7):
+        monkeypatch.setattr(correlation, "_SUM_CHUNK", size)
+        for (segments, convention), report in reports.items():
+            assert weighted_ergodic_sum(101, convention=convention, segments=segments) == report
+
+
+def test_weighted_ergodic_sum_rejects_m0_past_window_cap(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("the window cap was not checked first")
+
+    monkeypatch.setattr(fourier, "sparse_factors", unreachable)
+    assert 31622**2 <= MAX_WINDOW_END < 31623**2
+    with pytest.raises(ValueError, match="exceeds"):
+        weighted_ergodic_sum(31623)
 
 
 def test_weighted_ergodic_sum_conventions_differ():
