@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .constellations import Constellation, density_product, is_admissible, omega
-from .engine import MAX_WINDOW_END, SieveBasis, Window, certify, composite_signal
+from .engine import MAX_TAU_P, MAX_WINDOW_END, SieveBasis, Window, certify, composite_signal
 from .errors import InvariantError
 from .primes import is_prime_trial, odd_primes_upto
 
@@ -93,6 +93,8 @@ class AsymptoticReport:
 
 
 def _require_prime(p: int) -> None:
+    if p > MAX_TAU_P:
+        raise ValueError(f"tau supports primes up to {MAX_TAU_P}, got {p}")
     if not is_prime_trial(p):
         raise ValueError(f"tau needs a prime modulus, got {p}")
 
@@ -126,18 +128,18 @@ def tau_table(constellation: Constellation, p: int) -> list[LocalSurvival]:
     return [_local_survival(constellation, p, d) for d in range(p)]
 
 
-def tau_numerators(constellation: Constellation, p: int) -> list[int]:
-    """p * tau_p(d) for d = 0 .. p-1, in O(k^2 + p).
+def tau_numerators(constellation: Constellation, p: int) -> np.ndarray:
+    """p * tau_p(d) for d = 0 .. p-1 as an int64 array, in O(k^2 + p).
 
     The overlap |F ∩ (F - 2d)| counts the pairs (a, b) in F x F with
     b - a = 2d (mod p), so one bincount of the pairwise differences gives
-    it for every d. The values are plain Python ints, not int64: the exact
-    sums multiply them into products of hundreds of primes.
+    it for every d. Each value is at most p; products over many primes are
+    weighted_product_sum's work, modulo primes below 2^31.
     """
     _require_prime(p)
     forbidden = np.array(sorted({-h % p for h in constellation.offsets}), dtype=np.int64)
     overlap = np.bincount((forbidden[:, None] - forbidden[None, :]).ravel() % p, minlength=p)
-    return (p - 2 * forbidden.size + overlap[2 * np.arange(p) % p]).tolist()
+    return p - 2 * forbidden.size + overlap[2 * np.arange(p) % p]
 
 
 def _table_base(nums: np.ndarray) -> tuple[int, np.ndarray]:
@@ -151,7 +153,7 @@ def _table_base(nums: np.ndarray) -> tuple[int, np.ndarray]:
 def sparse_factors(tables) -> tuple[float, list[tuple[int, list[int], list[float]]]]:
     """Split a product of periodic tables into a constant and sparse corrections.
 
-    tables holds (p, nums) with nums[r] = p * (factor at residue r mod p).
+    tables holds (p, nums), int64 nums[r] = p * (factor at residue r mod p).
     Each table's base is its most common nonzero value; the product equals
     prod base / p times, for each p, nums[r] / base at the residues r where
     nums[r] != base. A tau table of a k-tuple leaves p - 2|F| at all but at
@@ -161,7 +163,6 @@ def sparse_factors(tables) -> tuple[float, list[tuple[int, list[int], list[float
     """
     ps, bases, corrections = [], [], []
     for p, nums in tables:
-        nums = np.asarray(nums, dtype=np.int64)
         base, residues = _table_base(nums)
         ps.append(p)
         bases.append(base)
@@ -175,7 +176,7 @@ def sparse_products(const: float, corrections, lo: int, hi: int):
 
     acc[i] is const times each table's correction at residue
     (start + i) mod p, applied in table order, so no value depends on the
-    chunking and a caller's fsum over every chunk is the same float.
+    chunking, and neither does an exact_float_sum over every chunk.
     """
     for start in range(lo, hi, _SUM_CHUNK):
         acc = np.full(min(_SUM_CHUNK, hi - start), const)
@@ -207,12 +208,14 @@ def crt_average(constellation: Constellation, basis_primes) -> Fraction:
     exactly prod mu_p^2 is a real check of cross-prime independence.
     """
     ps = [int(p) for p in basis_primes]
+    if len(set(ps)) != len(ps):
+        raise ValueError(f"basis primes must be distinct, got {ps}")
     modulus = 1
     for p in ps:
         modulus *= p
     if modulus > 10**6:
         raise ValueError(f"period {modulus} too large to enumerate")
-    tables = [(p, tau_numerators(constellation, p)) for p in ps]
+    tables = [(p, tau_numerators(constellation, p).tolist()) for p in ps]
     total = 0
     for d in range(modulus):
         term = 1
@@ -266,10 +269,7 @@ def _tables_at_multiples(constellation: Constellation, primes, stride: int):
     Distance d = stride * j reads its factor at table[j % p], so every
     sum over the multiples of stride runs over j.
     """
-    return [
-        (p, np.asarray(tau_numerators(constellation, p), dtype=np.int64)[stride * np.arange(p) % p])
-        for p in primes
-    ]
+    return [(p, tau_numerators(constellation, p)[stride * np.arange(p) % p]) for p in primes]
 
 
 def weighted_product_sum(

@@ -38,6 +38,8 @@ MAX_WINDOW_END = 10**9
 MAX_PRIME_N = 10**16
 # `gearsieve fourier` runs an O(p^2) DFT for every prime up to its bound.
 MAX_FOURIER_PMAX = 1000
+# tau tables hold a row per residue; no supported window has a larger prime.
+MAX_TAU_P = math.isqrt(MAX_WINDOW_END)
 
 # Entries per lane that one block strides: a lane this long stays in L2
 # while every (prime, offset) pair passes over it.

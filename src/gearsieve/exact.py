@@ -4,7 +4,8 @@ Multimodular integer sums (Knuth, TAOCP vol. 2, 4.3.2): an integer known
 to lie in [0, bound) is computed modulo primes below 2^31 whose product
 exceeds bound, in numpy int64, and rebuilt by the Chinese remainder
 theorem. Below 2^31, the product of a residue with any other residue
-stays inside int64. exact_float_sum is math.fsum for numpy arrays.
+stays inside int64. exact_float_sum is math.fsum for numpy arrays, and
+every float sum of the covariance split and the ergodic sum runs on it.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import numpy as np
 from .primes import odd_primes_upto
 
 MODULUS_CAP = 1 << 31
+# Entries of each sub-block that exact_float_sum splits and bins at once.
+_SUB_BLOCK = 1 << 16
 
 
 @functools.cache
@@ -73,24 +76,23 @@ def exact_float_sum(arrays) -> float:
     Equal to math.fsum over the entries, at a fraction of its cost. Each
     entry is mant * 2^exp (frexp); 2^53 * mant splits into an upper 27-bit
     and a lower 26-bit integer, and one bincount per half sums them by
-    exponent, exactly in float64 while an array holds at most 2^26
-    entries. The sums meet as one Python int in units of 2^-1126 (the
-    smallest subnormal, 2^-1074, is 2^52 units), and the int division
-    rounds once.
+    exponent, exactly in float64 over sub-blocks of _SUB_BLOCK (< 2^26)
+    entries, which keep the temporaries small for any array size. The sums
+    meet as one Python int in units of 2^-1126 (the smallest subnormal,
+    2^-1074, is 2^52 units), and the int division rounds once.
     """
     total = 0
-    for x in arrays:
-        if x.size == 0:
-            continue
-        mant, exp = np.frexp(x)
-        low_exp = int(exp.min())
-        exp -= low_exp
-        mant *= 2.0**27
-        upper = np.floor(mant)
-        mant -= upper
-        mant *= 2.0**26
-        uppers = np.bincount(exp, weights=upper).tolist()
-        lowers = np.bincount(exp, weights=mant).tolist()
-        for k, (hi, lo) in enumerate(zip(uppers, lowers)):
-            total += ((int(hi) << 26) + int(lo)) << (k + low_exp + 1073)
+    for array in arrays:
+        for first in range(0, array.size, _SUB_BLOCK):
+            mant, exp = np.frexp(array[first : first + _SUB_BLOCK])
+            low_exp = int(exp.min())
+            exp -= low_exp
+            mant *= 2.0**27
+            upper = np.floor(mant)
+            mant -= upper
+            mant *= 2.0**26
+            uppers = np.bincount(exp, weights=upper).tolist()
+            lowers = np.bincount(exp, weights=mant).tolist()
+            for k, (hi, lo) in enumerate(zip(uppers, lowers)):
+                total += ((int(hi) << 26) + int(lo)) << (k + low_exp + 1073)
     return total / (1 << 1126)

@@ -7,11 +7,12 @@ direct O(p^2) DFTs and checks them against each other, accumulates the
 product variance constant over all primes, evaluates the weighted ergodic
 sum behind the equidistribution error table, and verifies the two
 exponential-sum lemmas (geometric tail bound and two-prime injectivity).
+The ergodic sum adds its terms with exact.exact_float_sum, as the
+covariance split does, so both come out correctly rounded.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -81,7 +82,7 @@ def tau_fourier(p: int) -> list[FourierRow]:
     """
     if p < 5:
         raise ValueError(f"fourier coefficients need p >= 5, got {p}")
-    nums = np.array(tau_numerators(TWINS, p), dtype=np.int64)  # p * tau_p(d)
+    nums = tau_numerators(TWINS, p)  # p * tau_p(d)
     dc = int(nums.sum())
     d = np.arange(p)
     # Two accuracy measures for the 1e-14 Parseval check: reduce k*d mod p
@@ -139,50 +140,39 @@ def _h_table(p: int, convention: str) -> np.ndarray:
     traverses the same cycle in a different order (gcd(3, p) = 1), so the
     two conventions pair weights with different factor values.
     """
-    nums = np.asarray(tau_numerators(TWINS, p))
+    nums = tau_numerators(TWINS, p)
     if convention == "appendix_c":
         return nums
     return nums[(3 * np.arange(p)) % p]
 
 
-def weighted_ergodic_sum(m0: int, convention: str = "appendix_c", segments: int = 1) -> EquidistReport:
+def weighted_ergodic_sum(m0: int, convention: str = "appendix_c") -> EquidistReport:
     """Sum_{d=1}^{N} (L - 3d) h(d) against the flat-average prediction.
 
     L = m0^2, N = floor(L/3), h(d) = prod_{5 <= p <= m0} tau_p(d mod p)
     (or tau_p(3d mod p) under section4), and theory = h_bar L^2 / 6 with
     h_bar = prod (p-2)^2/p^2. h starts at the product of each prime's
     generic factor and takes sparse corrections as strided slices (see
-    sparse_factors), so the hot path has no modular divisions; each
-    segment accumulates with fsum and the per-segment totals merge with
-    fsum in d order.
+    sparse_factors), so the hot path has no modular divisions. The terms
+    of every chunk meet in one exact_float_sum, the same float as
+    math.fsum over all of them.
     """
+    from .exact import exact_float_sum
+
     if m0 < 11:
         raise ValueError(f"weighted sum needs m0 >= 11, got {m0}")
     if m0 * m0 > MAX_WINDOW_END:
         raise ValueError(f"m0^2 = {m0 * m0} exceeds the supported window end {MAX_WINDOW_END}")
     if convention not in ("appendix_c", "section4"):
         raise ValueError(f"unknown convention {convention!r}")
-    if segments < 1:
-        raise ValueError(f"segment count must be >= 1, got {segments}")
     ps = [int(p) for p in odd_primes_upto(m0) if p >= 5]
     const, corrections = sparse_factors((p, _h_table(p, convention)) for p in ps)
     big_l = m0 * m0
     n = big_l // 3
-    bounds = [1 + i * n // segments for i in range(segments + 1)]
-    partials = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if lo >= hi:
-            continue
-        products = sparse_products(const, corrections, lo, hi)
-        partials.append(
-            math.fsum(
-                itertools.chain.from_iterable(
-                    (big_l - 3.0 * np.arange(start, start + acc.size, dtype=np.float64)) * acc
-                    for start, acc in products
-                )
-            )
-        )
-    weighted = math.fsum(partials)
+    weighted = exact_float_sum(
+        (big_l - 3.0 * np.arange(start, start + acc.size, dtype=np.float64)) * acc
+        for start, acc in sparse_products(const, corrections, 1, n + 1)
+    )
     h_bar = 1.0
     for p in ps:
         h_bar *= (p - 2) ** 2 / p**2

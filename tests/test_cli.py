@@ -9,7 +9,7 @@ import pytest
 
 from gearsieve import cli, correlation, fourier
 from gearsieve.cli import main
-from gearsieve.engine import MAX_FOURIER_PMAX, MAX_WINDOW_END
+from gearsieve.engine import MAX_FOURIER_PMAX, MAX_TAU_P, MAX_WINDOW_END
 
 
 def test_seed_command(capsys):
@@ -115,6 +115,16 @@ def test_prime_above_bound_exits_two_at_once(capsys):
     # an unbounded walk over its 5e8 moduli would take minutes
     assert time.perf_counter() - start < 2.0
     assert "10000000000000000" in capsys.readouterr().err
+
+
+def test_tau_above_cap_exits_two_at_once(capsys):
+    # 10^8 rows of Fraction survival values would run for minutes
+    start = time.perf_counter()
+    assert main(["tau", "--p", "100000007"]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(MAX_TAU_P) in captured.err
 
 
 def test_main_parses_once_and_dispatches_by_command(capsys):

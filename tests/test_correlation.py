@@ -2,13 +2,14 @@
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis.strategies import booleans, floats, integers, lists, sampled_from, sets
 
-from gearsieve import correlation
+from gearsieve import correlation, exact
 from gearsieve.constellations import COUSINS, SEXY, TWINS, Constellation, is_admissible, omega
 from gearsieve.correlation import (
     EXACT_POSITION_LIMIT,
@@ -26,7 +27,7 @@ from gearsieve.correlation import (
     variance_decomposition,
     weighted_product_sum,
 )
-from gearsieve.engine import MAX_WINDOW_END, Window, build_basis
+from gearsieve.engine import MAX_TAU_P, MAX_WINDOW_END, Window, build_basis
 from gearsieve.exact import _primes_below_cap, crt_moduli, crt_rebuild, exact_float_sum
 from gearsieve.primes import odd_primes_upto
 
@@ -84,6 +85,21 @@ def test_tau_blocking_at_three():
             assert tau(TWINS, 3, d).case_label == "BLOCKED"
 
 
+def test_tau_rejects_prime_past_cap(monkeypatch):
+    # checked before the trial division and before any row is built
+    def unreachable(*args):
+        raise AssertionError("the tau cap was not checked first")
+
+    monkeypatch.setattr(correlation, "is_prime_trial", unreachable)
+    monkeypatch.setattr(correlation, "_local_survival", unreachable)
+    assert MAX_TAU_P == math.isqrt(MAX_WINDOW_END)
+    for p in (MAX_TAU_P + 1, 100000007):
+        for call in (lambda: tau(TWINS, p, 1), lambda: tau_table(TWINS, p),
+                     lambda: tau_numerators(TWINS, p)):
+            with pytest.raises(ValueError, match=str(MAX_TAU_P)):
+                call()
+
+
 def test_tau_rejects_composite_modulus():
     for p in (0, 1, 4, 9, 15):
         with pytest.raises(ValueError):
@@ -104,8 +120,8 @@ def test_tau_numerators_match_fraction_tau(halves, p):
     constellation = Constellation("random", (0, *sorted(2 * h for h in halves)))
     assume(is_admissible(constellation).admissible)
     nums = tau_numerators(constellation, p)
-    assert all(type(n) is int for n in nums)
-    assert nums == [tau(constellation, p, d).tau * p for d in range(p)]
+    assert nums.dtype == np.int64
+    assert nums.tolist() == [tau(constellation, p, d).tau * p for d in range(p)]
 
 
 def _dense_split_reference(constellation, primes, positions, p_b):
@@ -168,6 +184,14 @@ def test_crt_average_factorizes():
 def test_crt_average_rejects_huge_period():
     with pytest.raises(ValueError):
         crt_average(TWINS, (101, 103, 107, 109))
+
+
+def test_crt_average_rejects_repeated_primes():
+    # (5, 5) used to enumerate a period of 25 and return 19/125, not the
+    # documented product of mu_p^2, 81/625
+    for primes in ((5, 5), (3, 5, 3)):
+        with pytest.raises(ValueError, match="distinct"):
+            crt_average(TWINS, primes)
 
 
 def test_mean_field_value():
@@ -290,7 +314,7 @@ def test_asymptotic_report():
 def _bigint_weighted_sum(constellation, primes, positions, stride):
     # the Python bigint loop the multimodular kernel replaced: every
     # multiple d of stride below positions, full product of tau numerators
-    tables = [(p, tau_numerators(constellation, p)) for p in primes]
+    tables = [(p, tau_numerators(constellation, p).tolist()) for p in primes]
     total = 0
     for d in range(stride, positions, stride):
         term = 1
@@ -417,7 +441,12 @@ def test_sigma_off_split_float_matches_exact_sum():
 def test_exact_float_sum_equals_fsum(values, cuts):
     x = np.array(values, dtype=np.float64)
     chunks = np.split(x, sorted(min(c, x.size) for c in cuts))
-    assert exact_float_sum(chunks) == math.fsum(values)
+    want = math.fsum(values)
+    assert exact_float_sum(chunks) == want
+    # sub-blocks that split every array, down to one entry each
+    for size in (1, 3, 7):
+        with mock.patch.object(exact, "_SUB_BLOCK", size):
+            assert exact_float_sum(chunks) == want
 
 
 def test_exact_float_sum_extremes():

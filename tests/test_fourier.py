@@ -1,14 +1,16 @@
 """Spectral verification: DFT coefficients, Parseval, equidistribution."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gearsieve import correlation, fourier
 from gearsieve.constellations import TWINS
-from gearsieve.correlation import tau
-from gearsieve.engine import MAX_WINDOW_END
+from gearsieve.correlation import tau, variance_decomposition
+from gearsieve.engine import MAX_WINDOW_END, Window, build_basis
 from gearsieve.fourier import (
     fit_decay_exponent,
     fit_power_law,
@@ -109,24 +111,57 @@ def test_weighted_ergodic_sum_matches_dense_product():
             assert got == pytest.approx(want, rel=1e-12)
 
 
-def test_weighted_ergodic_sum_segment_invariance():
-    # per-element products are identical across partitions; only the final
-    # compensated merge can differ, and then by at most a few ulps
-    base = weighted_ergodic_sum(50)
-    for segments in (2, 5, 13):
-        again = weighted_ergodic_sum(50, segments=segments)
-        assert again.weighted_sum == pytest.approx(base.weighted_sum, rel=1e-14)
+def _fsum_ergodic_reference(m0, convention):
+    # math.fsum over the chained sparse_products terms, the sum the
+    # exact float sum replaced
+    ps = [int(p) for p in odd_primes_upto(m0) if p >= 5]
+    const, corrections = correlation.sparse_factors(
+        (p, fourier._h_table(p, convention)) for p in ps
+    )
+    big_l = m0 * m0
+    return math.fsum(
+        itertools.chain.from_iterable(
+            (big_l - 3.0 * np.arange(start, start + acc.size, dtype=np.float64)) * acc
+            for start, acc in correlation.sparse_products(const, corrections, 1, big_l // 3 + 1)
+        )
+    )
+
+
+def test_weighted_ergodic_sum_equals_fsum_of_terms():
+    for m0 in (11, 101, 211, 1000):
+        for convention in ("appendix_c", "section4"):
+            got = weighted_ergodic_sum(m0, convention=convention).weighted_sum
+            assert got == _fsum_ergodic_reference(m0, convention)
 
 
 def test_weighted_ergodic_sum_chunk_invariant(monkeypatch):
-    # the arrays are built in chunks that feed one fsum, so any chunk size
-    # gives the same float, segments or not
-    reports = {(s, c): weighted_ergodic_sum(101, convention=c, segments=s)
-               for s in (1, 3) for c in ("appendix_c", "section4")}
+    # the arrays are built in chunks that feed one exact float sum, so any
+    # chunk size gives the same float
+    reports = {c: weighted_ergodic_sum(101, convention=c) for c in ("appendix_c", "section4")}
     for size in (1000, 7):
         monkeypatch.setattr(correlation, "_SUM_CHUNK", size)
-        for (segments, convention), report in reports.items():
-            assert weighted_ergodic_sum(101, convention=convention, segments=segments) == report
+        for convention, report in reports.items():
+            assert weighted_ergodic_sum(101, convention=convention) == report
+
+
+def test_float_sums_peak_memory_at_m0_1000():
+    # the exact float sum bins sub-blocks, so a 333k-entry chunk adds
+    # little to the chunk's own arrays (the ergodic sum traces 7.7 MiB;
+    # binning the whole chunk at once took 14 MiB)
+    basis, window = build_basis(999), Window.for_capacity(1000)
+    calls = (
+        lambda: weighted_ergodic_sum(1000),
+        lambda: variance_decomposition(basis, window, TWINS, mu_source="expected"),
+    )
+    for call in calls:
+        call()  # warm caches (prime tables, CRT moduli) outside the trace
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
 
 
 def test_weighted_ergodic_sum_rejects_m0_past_window_cap(monkeypatch):
