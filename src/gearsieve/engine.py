@@ -13,13 +13,15 @@ per (prime, offset) pair and block), never by per-position trial division.
 One core does all the striding: the per-pair start residues are computed
 once, and fixed cache-sized blocks advance them arithmetically, so results
 never depend on how a caller would partition the window. Mask mode also
-strides only the positions r mod 15 where no member is divisible by 3 or 5.
+strides only the positions r mod 15 where no member is divisible by 3 or 5,
+and builds its packed bits only when they are read: a count alone strides
+r mod 105 on long windows, where 7 is removed by construction too.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -47,6 +49,8 @@ _BLOCK = 1 << 19
 
 # Primes the mask-mode wheel removes by construction; 15 lanes.
 _WHEEL = (3, 5)
+# The count path's wheel on long windows; 105 lanes.
+_COUNT_WHEEL = (3, 5, 7)
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,8 +110,11 @@ class Window:
 class SignalTrace:
     """Per-position signal over a window, in counts or survivor-mask form.
 
-    values holds S_C(r) per position (counts mode); zero_bits holds one bit
-    per position, set where S_C(r) = 0, packed big-endian (mask mode).
+    values holds S_C(r) per position (counts mode) and is None in mask
+    mode. zero_bits is None in counts mode; in mask mode it holds one bit
+    per position, set where S_C(r) = 0, packed big-endian, and is built on
+    first read (by zero_bits, zero_mask or certify with survivors), so a
+    mask trace that is only counted never strides its bits.
     in_range is the count of leading positions eligible for certification.
     """
 
@@ -117,7 +124,18 @@ class SignalTrace:
     count_self_hits: bool
     in_range: int
     values: np.ndarray | None = None
-    zero_bits: np.ndarray | None = None
+    _bits: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    def _core_args(self, count: int) -> tuple:
+        """Striding-core arguments for the first count positions."""
+        offsets = self.constellation.offsets
+        return (self.window.anchor, count, self.basis.primes, offsets, self.count_self_hits)
+
+    @property
+    def zero_bits(self) -> np.ndarray | None:
+        if self.values is None and self._bits is None:
+            self._bits = _survivor_bits(*self._core_args(self.window.positions))
+        return self._bits
 
     def zero_mask(self) -> np.ndarray:
         """Boolean survivor mask over all positions, from either storage."""
@@ -189,16 +207,20 @@ def _stride_blocks(start, count, primes, offsets, modulus, lanes, dtype):
     steps = step.tolist()
     per_lane = len(offsets) * ps.size
     counts = row.dtype != bool
+    # A 0-d array, so that no slice assignment converts a Python True:
+    # that conversion is about a quarter of a short slice's cost.
+    hit = np.ones((), dtype=bool)
     for t_lo in range(0, n_t, _BLOCK):
         firsts = ((t0 - t_lo) % step).tolist()
         for i in range(len(lanes)):
             row.fill(0)
             lane = slice(i * per_lane, (i + 1) * per_lane)
-            for first, p in zip(firsts[lane], steps[lane]):
-                if counts:
+            if counts:
+                for first, p in zip(firsts[lane], steps[lane]):
                     row[first::p] += 1
-                else:
-                    row[first::p] = True
+            else:
+                for first, p in zip(firsts[lane], steps[lane]):
+                    row[first::p] = hit
             yield t_lo, i, row
 
 
@@ -236,11 +258,17 @@ def signal_values(
 
     No window or candidate validation; this is the striding core's counts
     mode (one lane, no wheel), exposed for residue-averaging checks that
-    scan arbitrary (even even) starts. segments is validated but no longer
-    sizes the work: the core always strides fixed cache-sized blocks.
+    scan arbitrary (even even) starts. count is capped at the positions of
+    the largest supported window, MAX_WINDOW_END // 2. segments is
+    validated but no longer sizes the work: the core always strides fixed
+    cache-sized blocks.
     """
     if count < 0:
         raise ValueError(f"position count must be >= 0, got {count}")
+    if count > MAX_WINDOW_END // 2:
+        raise ValueError(
+            f"position count {count} exceeds the supported {MAX_WINDOW_END // 2}"
+        )
     if segments < 1:
         raise ValueError(f"segment count must be >= 1, got {segments}")
     values = np.empty(count, dtype=_counter_dtype(start, count, offsets))
@@ -252,19 +280,30 @@ def signal_values(
     return values
 
 
-def _wheel_plan(start, count, primes, offsets, count_self_hits):
+def _count_wheel(count: int, primes: np.ndarray) -> tuple[int, ...]:
+    """The wheel primes for a count-only pass over count positions.
+
+    105 lanes write 1/7 fewer entries than 15 but take 7 times the lanes,
+    so 5 times the slice operations per surviving lane; they pay only once
+    a lane row is long against the number of primes striding it.
+    """
+    return _COUNT_WHEEL if count // 105 >= 256 * len(primes) else _WHEEL
+
+
+def _wheel_plan(start, count, primes, offsets, count_self_hits, wheel):
     """Mask mode's wheel lanes and exact head: (modulus, lanes, head_zero).
 
-    Wheel primes (3 and 5, when in the basis) are handled by construction:
-    only the lanes r mod modulus where none of them divides a member are
-    sieved, and every other position is a hit. Without self-hits, these
-    literal marks are wrong only where a member is +-p for a basis prime p.
-    Those positions lie in a prefix that ends at the last of them (in a
-    window, where members pass the basis bound); head_zero is the exact
-    (S_C(r) == 0) over that prefix, from counts, and is empty otherwise.
+    The wheel primes that are in the basis (3 and 5, or 3, 5 and 7) are
+    handled by construction: only the lanes r mod modulus where none of
+    them divides a member are sieved, and every other position is a hit.
+    Without self-hits, these literal marks are wrong only where a member
+    is +-p for a basis prime p. Those positions lie in a prefix that ends
+    at the last of them (in a window, where members pass the basis bound);
+    head_zero is the exact (S_C(r) == 0) over that prefix, from counts, and
+    is empty otherwise.
     """
     in_basis = set(primes.tolist())
-    wheel = [q for q in _WHEEL if q in in_basis]
+    wheel = [q for q in wheel if q in in_basis]
     modulus = math.prod(wheel)
     lanes = [
         c for c in range(modulus)
@@ -290,8 +329,12 @@ def _survivor_bits(
 
     Each block of wheel lanes is interleaved back into position order and
     packed; the exact head from `_wheel_plan` then replaces its prefix.
+    The wheel stays at 15 lanes: with the interleave, 105 lanes cost more
+    than the entries they save.
     """
-    modulus, lanes, head_zero = _wheel_plan(start, count, primes, offsets, count_self_hits)
+    modulus, lanes, head_zero = _wheel_plan(
+        start, count, primes, offsets, count_self_hits, _WHEEL
+    )
     bits = np.zeros((count + 7) // 8, dtype=np.uint8)
     chunk = np.zeros((min(_BLOCK, -(-count // modulus)), modulus), dtype=bool)
     for t_lo, i, row in _stride_blocks(start, count, primes, offsets, modulus, lanes, bool):
@@ -319,9 +362,13 @@ def _survivor_count(
     """Positions r < count with S_C(r) == 0, without packing any bits.
 
     Counts the unhit entries of each wheel lane's row, block by block,
-    past the exact head from `_wheel_plan`, whose survivors it adds.
+    past the exact head from `_wheel_plan`, whose survivors it adds. The
+    wheel is `_count_wheel`'s choice for this count and basis.
     """
-    modulus, lanes, head_zero = _wheel_plan(start, count, primes, offsets, count_self_hits)
+    wheel = _count_wheel(count, primes)
+    modulus, lanes, head_zero = _wheel_plan(
+        start, count, primes, offsets, count_self_hits, wheel
+    )
     head = head_zero.size
     # Lane c holds r = c + modulus*t: t < ends[i] is inside the window and
     # t < heads[i] is inside the head.
@@ -359,11 +406,13 @@ def composite_signal(
 ) -> SignalTrace:
     """Evaluate S_C over a window, storing counts or a packed survivor mask.
 
-    Counts mode keeps one small integer per position; mask mode keeps one
-    bit per position and bounds working memory by the block size, which
-    is the only storage suitable for very large windows. segments is
-    validated but no longer sizes the work: both modes stride fixed
-    cache-sized blocks, so every result is independent of it.
+    Counts mode strides now and keeps one small integer per position. Mask
+    mode strides nothing here: its trace builds one bit per position on
+    first read, or `certify` counts it without any bits, and either way
+    working memory beyond the bits is bounded by the block size, which
+    suits very large windows. segments is validated but no longer sizes
+    the work: both modes stride fixed cache-sized blocks, so every result
+    is independent of it.
     """
     if mode not in ("counts", "mask"):
         raise ValueError(f"mode must be 'counts' or 'mask', got {mode!r}")
@@ -374,7 +423,6 @@ def composite_signal(
         raise ValueError(f"constellation {constellation.name} is not admissible")
     if segments < 1:
         raise ValueError(f"segment count must be >= 1, got {segments}")
-    args = (window.anchor, window.positions, basis.primes, constellation.offsets, count_self_hits)
     trace = SignalTrace(
         basis=basis,
         window=window,
@@ -383,9 +431,7 @@ def composite_signal(
         in_range=window.in_range_positions(constellation.span),
     )
     if mode == "counts":
-        trace.values = signal_values(*args)
-    else:
-        trace.zero_bits = _survivor_bits(*args)
+        trace.values = signal_values(*trace._core_args(window.positions))
     return trace
 
 
@@ -409,10 +455,15 @@ def certify(trace: SignalTrace, survivors: bool = False) -> CertifiedResult:
     When every window member exceeds the basis bound, the zero-signal
     positions are exactly the all-prime tuples; members at or below the
     bound can only survive under the proper-multiples signal variant.
+    A mask trace is counted from its packed bits once they are built, and
+    otherwise by the count path over the in_range positions alone, which
+    builds none; only survivors=True makes it build them.
     """
-    if trace.zero_bits is not None and not survivors:
+    if trace.values is None and not survivors:
+        if trace._bits is None:
+            return CertifiedResult(count=_survivor_count(*trace._core_args(trace.in_range)))
         # Counted straight from the packed bits; no mask is unpacked.
-        return CertifiedResult(count=_count_bits(trace.zero_bits, trace.in_range))
+        return CertifiedResult(count=_count_bits(trace._bits, trace.in_range))
     zeros = trace.zero_mask()[: trace.in_range]
     count = int(np.count_nonzero(zeros))
     if not survivors:

@@ -1,13 +1,14 @@
 """Command-line surface: subcommands, formats, exit codes."""
 
 import argparse
+import hashlib
 import json
 import time
 from unittest import mock
 
 import pytest
 
-from gearsieve import cli, correlation, fourier
+from gearsieve import cli, correlation, engine, fourier
 from gearsieve.cli import main
 from gearsieve.engine import MAX_FOURIER_PMAX, MAX_TAU_P, MAX_WINDOW_END
 
@@ -47,6 +48,45 @@ def test_scan_command(tmp_path, capsys):
     values = [int(line) for line in lines]
     assert values == sorted(values)
     assert survivors.read_text().endswith("\n")
+
+
+def test_scan_count_builds_no_bits(capsys):
+    with mock.patch.object(engine, "_survivor_bits", side_effect=AssertionError):
+        assert main(["scan", "--m0", "301", "--tuple", "0,2,6"]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 227
+
+
+@pytest.mark.parametrize(
+    "tuple_text, count, sha256",
+    [
+        ("0,2", 1104, "9ba435ae3fa6a2da78004aeb30be5bd202129559758df294bb129eab4a8f005b"),
+        ("0,2,6", 227, "6b206644de0f457f4e7315db6598aeb847e1cb07394af95544fdf3e8c80bc1d1"),
+    ],
+)
+def test_scan_survivor_file_is_unchanged(tmp_path, capsys, tuple_text, count, sha256):
+    # digests of the files written before mask traces built their bits lazily
+    path = tmp_path / "starts.txt"
+    argv = ["scan", "--m0", "301", "--anchor", "11", "--tuple", tuple_text]
+    assert main([*argv, "--survivors", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == count
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+
+
+def test_count_wheel_follows_window_size(capsys):
+    chosen = []
+    choose = engine._count_wheel
+
+    def spy(count, primes):
+        chosen.append(choose(count, primes))
+        return chosen[-1]
+
+    with mock.patch.object(engine, "_count_wheel", spy):
+        assert main(["goldbach", "--even", str(10**8)]) == 0
+        assert json.loads(capsys.readouterr().out)["count"] == 291400
+        assert chosen == [(3, 5)]
+        assert main(["scan", "--m0", "10001"]) == 0
+        assert json.loads(capsys.readouterr().out)["count"] == 440191
+        assert chosen == [(3, 5), (3, 5, 7)]
 
 
 def test_scan_segments_agree(capsys):

@@ -2,10 +2,12 @@
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from gearsieve import engine
 from gearsieve.constellations import COUSINS, SEXY, TWINS, Constellation
 from gearsieve.engine import (
     MAX_WINDOW_END,
@@ -101,6 +103,16 @@ def test_signal_matches_brute_force():
         got = signal_values(7, 40, primes, offsets)
         want = _brute_signal(7, 40, [3, 5, 7], offsets, True)
         assert got.tolist() == want
+
+
+def test_signal_values_rejects_counts_past_window_cap():
+    primes = build_basis(31).primes
+    # rejected before any allocation or striding
+    with mock.patch.object(engine, "_stride_blocks", side_effect=AssertionError):
+        with pytest.raises(ValueError):
+            signal_values(7, MAX_WINDOW_END // 2 + 1, primes, (0, 2))
+        with pytest.raises(ValueError):
+            signal_values(7, 6 * 10**8, primes, (0, 2))
 
 
 def test_signal_proper_variant_matches_brute_force():

@@ -9,7 +9,7 @@ import math
 from unittest import mock
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis.strategies import booleans, integers, sampled_from, sets
 
 from gearsieve import engine
@@ -27,6 +27,8 @@ from gearsieve.engine import (
 
 # Block sizes must keep every block a whole number of bytes of positions.
 BLOCK_SIZES = (8, 16, 64, engine._BLOCK)
+# Both wheels the count path can choose, forced on windows of any size.
+WHEELS = ((3, 5), (3, 5, 7))
 GOLDBACH_LIMIT = 20_000
 
 
@@ -76,12 +78,13 @@ def test_certified_count_matches_classical_oracle(
     offsets, anchor_seed, m0_half, length_seed, segments, mode, count_self_hits, block
 ):
     constellation, basis, window = _window_case(offsets, anchor_seed, m0_half, length_seed)
+    # a mask trace strides lazily, inside certify, so certify runs under the patch
     with mock.patch.object(engine, "_BLOCK", block):
         trace = composite_signal(
             basis, window, constellation, segments=segments,
             count_self_hits=count_self_hits, mode=mode,
         )
-    got = certify(trace).count
+        got = certify(trace).count
     if count_self_hits:
         # a literal hit kills every member that is itself a basis prime,
         # so only tuples starting above m0 survive
@@ -112,14 +115,16 @@ def test_signal_matches_brute_force_and_modes_agree(
         mask = composite_signal(
             basis, window, constellation, count_self_hits=count_self_hits, mode="mask"
         )
+        # mask bits are built on first use, so they are used under the patch
+        mask_zeros = mask.zero_mask()
+        survivors = certify(mask, survivors=True)
     want = _brute_values(
         window.anchor, window.positions, basis.primes, constellation.offsets, count_self_hits
     )
     assert counts.values.tolist() == want.tolist()
     # mask mode without self-hits patches its prefix from counts; this
     # pins the patch to the whole-window truth
-    assert np.array_equal(mask.zero_mask(), counts.values == 0)
-    survivors = certify(mask, survivors=True)
+    assert np.array_equal(mask_zeros, counts.values == 0)
     assert survivors == certify(counts, survivors=True)
     if count_self_hits:
         derived = proper_signal(counts).values
@@ -136,15 +141,59 @@ def test_signal_matches_brute_force_and_modes_agree(
     integers(min_value=1, max_value=3_000),
     booleans(),
     sampled_from(BLOCK_SIZES),
+    sampled_from(WHEELS),
 )
-def test_survivor_count_matches_brute_force(offsets, start_half, m0_half, count, count_self_hits, block):
+# m0 = 5: 7 is not in the basis, so the 105 wheel falls back to 15 lanes
+@example(set(), 0, 2, 500, False, 8, (3, 5, 7))
+@example({2}, 0, 2, 500, True, 16, (3, 5, 7))
+# a member equal to 7 lies in a lane the 105 wheel drops; the head keeps it
+@example({2}, 3, 10, 3_000, False, 8, (3, 5, 7))
+@example({4}, 1, 10, 3_000, False, 64, (3, 5, 7))
+@example({2, 6}, 0, 20, 3_000, False, 16, (3, 5, 7))
+def test_survivor_count_matches_brute_force(
+    offsets, start_half, m0_half, count, count_self_hits, block, wheel
+):
     # starts from 1 put members 1 and primes above m0 into the self-hit head
     offsets = (0, *sorted(offsets))
     start, primes = 2 * start_half + 1, build_basis(2 * m0_half + 1).primes
     want = _brute_values(start, count, primes, offsets, count_self_hits)
-    with mock.patch.object(engine, "_BLOCK", block):
+    with mock.patch.object(engine, "_BLOCK", block), \
+            mock.patch.object(engine, "_count_wheel", lambda count, primes: wheel):
         got = engine._survivor_count(start, count, primes, offsets, count_self_hits)
     assert got == int(np.count_nonzero(want == 0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    sets(sampled_from(range(2, 27, 2)), max_size=3),
+    integers(min_value=0, max_value=15_000),
+    integers(min_value=1, max_value=149),
+    integers(min_value=0, max_value=10**6),
+    booleans(),
+    sampled_from(BLOCK_SIZES),
+    sampled_from(WHEELS),
+)
+def test_lazy_mask_count_matches_built_bits(
+    offsets, anchor_seed, m0_half, length_seed, count_self_hits, block, wheel
+):
+    constellation, basis, window = _window_case(offsets, anchor_seed, m0_half, length_seed)
+    with mock.patch.object(engine, "_BLOCK", block), \
+            mock.patch.object(engine, "_count_wheel", lambda count, primes: wheel), \
+            mock.patch.object(engine, "_survivor_bits", side_effect=AssertionError):
+        lazy = composite_signal(
+            basis, window, constellation, count_self_hits=count_self_hits, mode="mask"
+        )
+        counted = certify(lazy).count
+    with mock.patch.object(engine, "_BLOCK", block):
+        bits = lazy.zero_bits
+    assert bits.size == (window.positions + 7) // 8
+    assert lazy.zero_bits is bits  # built once, then kept
+    assert certify(lazy).count == counted
+    zeros = _brute_values(
+        window.anchor, window.in_range_positions(constellation.span), basis.primes,
+        constellation.offsets, count_self_hits,
+    ) == 0
+    assert counted == int(np.count_nonzero(zeros))
 
 
 @settings(max_examples=150, deadline=None)
