@@ -417,7 +417,7 @@ def variance_decomposition(
     positions = window.positions
     if mu_source == "observed":
         if observed_count is None:
-            trace = composite_signal(basis, window, constellation)
+            trace = composite_signal(basis, window, constellation, mode="mask")
             observed_count = certify(trace).count
         mu = float(observed_count)
     else:

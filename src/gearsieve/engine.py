@@ -12,10 +12,11 @@ Everything is computed by striding in position space (one slice assignment
 per (prime, offset) pair and block), never by per-position trial division.
 One core does all the striding: the per-pair start residues are computed
 once, and fixed cache-sized blocks advance them arithmetically, so results
-never depend on how a caller would partition the window. Mask mode also
-strides only the positions r mod 15 where no member is divisible by 3 or 5,
-and builds its packed bits only when they are read: a count alone strides
-r mod 105 on long windows, where 7 is removed by construction too.
+never depend on how a caller would partition the window. Mask mode walks
+only the wheel lanes: the positions r mod 15 where no member is divisible
+by 3 or 5, or r mod 105 on long windows, where 7 is removed too. One walk
+over those lane rows serves both a count, which sums each row's unhit
+entries, and a survivor list, which collects their positions.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ _BLOCK = 1 << 19
 
 # Primes the mask-mode wheel removes by construction; 15 lanes.
 _WHEEL = (3, 5)
-# The count path's wheel on long windows; 105 lanes.
+# The mask-mode wheel on long windows; 105 lanes.
 _COUNT_WHEEL = (3, 5, 7)
 
 
@@ -108,13 +109,15 @@ class Window:
 
 @dataclass(eq=False)
 class SignalTrace:
-    """Per-position signal over a window, in counts or survivor-mask form.
+    """Per-position signal over a window, as counts or survivor positions.
 
     values holds S_C(r) per position (counts mode) and is None in mask
-    mode. zero_bits is None in counts mode; in mask mode it holds one bit
-    per position, set where S_C(r) = 0, packed big-endian, and is built on
-    first read (by zero_bits, zero_mask or certify with survivors), so a
-    mask trace that is only counted never strides its bits.
+    mode. A mask trace strides on first use (zero_bits, zero_mask or
+    certify with survivors) and then keeps only the ascending positions
+    where S_C(r) = 0, a sparse set; a mask trace that is only counted
+    keeps nothing. zero_bits is None in counts mode; in mask mode it packs
+    one bit per position, set where S_C(r) = 0, big-endian, from those
+    positions on each read.
     in_range is the count of leading positions eligible for certification.
     """
 
@@ -124,24 +127,32 @@ class SignalTrace:
     count_self_hits: bool
     in_range: int
     values: np.ndarray | None = None
-    _bits: np.ndarray | None = field(default=None, init=False, repr=False)
+    _survivors: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def _core_args(self, count: int) -> tuple:
         """Striding-core arguments for the first count positions."""
         offsets = self.constellation.offsets
         return (self.window.anchor, count, self.basis.primes, offsets, self.count_self_hits)
 
+    def _positions(self) -> np.ndarray:
+        """A mask trace's survivor positions over the whole window, cached."""
+        if self._survivors is None:
+            self._survivors = _survivor_positions(*self._core_args(self.window.positions))
+        return self._survivors
+
     @property
     def zero_bits(self) -> np.ndarray | None:
-        if self.values is None and self._bits is None:
-            self._bits = _survivor_bits(*self._core_args(self.window.positions))
-        return self._bits
+        if self.values is not None:
+            return None
+        return np.packbits(self.zero_mask())
 
     def zero_mask(self) -> np.ndarray:
         """Boolean survivor mask over all positions, from either storage."""
         if self.values is not None:
             return self.values == 0
-        return np.unpackbits(self.zero_bits, count=self.window.positions).view(bool)
+        mask = np.zeros(self.window.positions, dtype=bool)
+        mask[self._positions()] = True
+        return mask
 
 
 @dataclass(frozen=True)
@@ -252,16 +263,13 @@ def signal_values(
     primes: np.ndarray,
     offsets: tuple[int, ...],
     count_self_hits: bool = True,
-    segments: int = 1,
 ) -> np.ndarray:
     """Raw per-position hit counts over positions start + 2r, r < count.
 
     No window or candidate validation; this is the striding core's counts
     mode (one lane, no wheel), exposed for residue-averaging checks that
     scan arbitrary (even even) starts. count is capped at the positions of
-    the largest supported window, MAX_WINDOW_END // 2. segments is
-    validated but no longer sizes the work: the core always strides fixed
-    cache-sized blocks.
+    the largest supported window, MAX_WINDOW_END // 2.
     """
     if count < 0:
         raise ValueError(f"position count must be >= 0, got {count}")
@@ -269,8 +277,6 @@ def signal_values(
         raise ValueError(
             f"position count {count} exceeds the supported {MAX_WINDOW_END // 2}"
         )
-    if segments < 1:
-        raise ValueError(f"segment count must be >= 1, got {segments}")
     values = np.empty(count, dtype=_counter_dtype(start, count, offsets))
     for t_lo, _, row in _stride_blocks(start, count, primes, offsets, 1, [0], values.dtype):
         width = min(row.size, count - t_lo)
@@ -281,7 +287,7 @@ def signal_values(
 
 
 def _count_wheel(count: int, primes: np.ndarray) -> tuple[int, ...]:
-    """The wheel primes for a count-only pass over count positions.
+    """The wheel primes for a mask walk over count positions.
 
     105 lanes write 1/7 fewer entries than 15 but take 7 times the lanes,
     so 5 times the slice operations per surviving lane; they pay only once
@@ -290,66 +296,58 @@ def _count_wheel(count: int, primes: np.ndarray) -> tuple[int, ...]:
     return _COUNT_WHEEL if count // 105 >= 256 * len(primes) else _WHEEL
 
 
-def _wheel_plan(start, count, primes, offsets, count_self_hits, wheel):
-    """Mask mode's wheel lanes and exact head: (modulus, lanes, head_zero).
+def _wheel_plan(start, count, primes, offsets, count_self_hits):
+    """Mask mode's wheel lanes and exact head: (modulus, lanes, head_hit).
 
-    The wheel primes that are in the basis (3 and 5, or 3, 5 and 7) are
-    handled by construction: only the lanes r mod modulus where none of
-    them divides a member are sieved, and every other position is a hit.
-    Without self-hits, these literal marks are wrong only where a member
-    is +-p for a basis prime p. Those positions lie in a prefix that ends
-    at the last of them (in a window, where members pass the basis bound);
-    head_zero is the exact (S_C(r) == 0) over that prefix, from counts, and
+    The wheel is `_count_wheel`'s choice for this count and basis. Its
+    primes that are in the basis (3 and 5, or 3, 5 and 7) are handled by
+    construction: only the lanes r mod modulus where none of them divides
+    a member are sieved, and every other position is a hit. Without
+    self-hits, these literal marks are wrong only where a member is +-p
+    for a basis prime p. Those positions lie in a prefix that ends at the
+    last of them (in a window, where members pass the basis bound);
+    head_hit is the exact (S_C(r) != 0) over that prefix, from counts, and
     is empty otherwise.
     """
     in_basis = set(primes.tolist())
-    wheel = [q for q in wheel if q in in_basis]
+    wheel = [q for q in _count_wheel(count, primes) if q in in_basis]
     modulus = math.prod(wheel)
     lanes = [
         c for c in range(modulus)
         if all((start + 2 * c + h) % q != 0 for q in wheel for h in offsets)
     ]
-    head_zero = np.zeros(0, dtype=bool)
+    head_hit = np.zeros(0, dtype=bool)
     if not count_self_hits:
         hits = _self_hit_positions(start, count, primes, offsets)
         if hits.size:
             head = int(hits.max()) + 1
-            head_zero = signal_values(start, head, primes, offsets, count_self_hits=False) == 0
-    return modulus, lanes, head_zero
+            head_hit = signal_values(start, head, primes, offsets, count_self_hits=False) != 0
+    return modulus, lanes, head_hit
 
 
-def _survivor_bits(
-    start: int,
-    count: int,
-    primes: np.ndarray,
-    offsets: tuple[int, ...],
-    count_self_hits: bool,
-) -> np.ndarray:
-    """packbits of (S_C(r) == 0) over positions start + 2r, r < count.
+def _zero_walk(start, count, primes, offsets, count_self_hits):
+    """The one mask walk: rows (first, step, hit) over positions r < count.
 
-    Each block of wheel lanes is interleaved back into position order and
-    packed; the exact head from `_wheel_plan` then replaces its prefix.
-    The wheel stays at 15 lanes: with the interleave, 105 lanes cost more
-    than the entries they save.
+    Position first + step*j has S_C(r) == 0 exactly where hit[j] is False.
+    The exact head from `_wheel_plan` comes first, with step 1; then each
+    wheel lane's row, block by block, past the head. Positions outside the
+    wheel lanes are hits and lie in no row. Blocks ascend, but the lanes
+    of one block interleave. A lane row is the core's reused buffer, so
+    consume it before asking for the next.
     """
-    modulus, lanes, head_zero = _wheel_plan(
-        start, count, primes, offsets, count_self_hits, _WHEEL
-    )
-    bits = np.zeros((count + 7) // 8, dtype=np.uint8)
-    chunk = np.zeros((min(_BLOCK, -(-count // modulus)), modulus), dtype=bool)
+    modulus, lanes, head_hit = _wheel_plan(start, count, primes, offsets, count_self_hits)
+    head = head_hit.size
+    if head:
+        yield 0, 1, head_hit
+    # Lane c holds r = c + modulus*t: t < ends[i] is inside the window and
+    # t < heads[i] is inside the head.
+    ends = [-(-(count - c) // modulus) for c in lanes]
+    heads = [max(0, -(-(head - c) // modulus)) for c in lanes]
     for t_lo, i, row in _stride_blocks(start, count, primes, offsets, modulus, lanes, bool):
-        lo = modulus * t_lo
-        width = min(chunk.shape[0], -(-(count - lo) // modulus))
-        chunk[:width, lanes[i]] = ~row[:width]
-        if i == len(lanes) - 1:
-            packed = np.packbits(chunk[:width].reshape(-1)[: count - lo])
-            bits[lo // 8 : lo // 8 + packed.size] = packed
-    if head_zero.size:
-        nbytes = (head_zero.size + 7) // 8
-        prefix = np.unpackbits(bits[:nbytes])
-        prefix[: head_zero.size] = head_zero
-        bits[:nbytes] = np.packbits(prefix)
-    return bits
+        a = max(heads[i] - t_lo, 0)
+        b = min(ends[i] - t_lo, row.size)
+        if b > a:
+            yield lanes[i] + modulus * (t_lo + a), modulus, row[a:b]
 
 
 def _survivor_count(
@@ -359,41 +357,25 @@ def _survivor_count(
     offsets: tuple[int, ...],
     count_self_hits: bool,
 ) -> int:
-    """Positions r < count with S_C(r) == 0, without packing any bits.
-
-    Counts the unhit entries of each wheel lane's row, block by block,
-    past the exact head from `_wheel_plan`, whose survivors it adds. The
-    wheel is `_count_wheel`'s choice for this count and basis.
-    """
-    wheel = _count_wheel(count, primes)
-    modulus, lanes, head_zero = _wheel_plan(
-        start, count, primes, offsets, count_self_hits, wheel
-    )
-    head = head_zero.size
-    # Lane c holds r = c + modulus*t: t < ends[i] is inside the window and
-    # t < heads[i] is inside the head.
-    ends = [-(-(count - c) // modulus) for c in lanes]
-    heads = [max(0, -(-(head - c) // modulus)) for c in lanes]
-    total = int(np.count_nonzero(head_zero))
-    for t_lo, i, row in _stride_blocks(start, count, primes, offsets, modulus, lanes, bool):
-        a = max(heads[i] - t_lo, 0)
-        b = min(ends[i] - t_lo, row.size)
-        if b > a:
-            total += b - a - int(np.count_nonzero(row[a:b]))
-    return total
+    """Positions r < count with S_C(r) == 0: the unhit entries of each row."""
+    walk = _zero_walk(start, count, primes, offsets, count_self_hits)
+    return sum(hit.size - int(np.count_nonzero(hit)) for _, _, hit in walk)
 
 
-def _count_bits(bits: np.ndarray, n: int) -> int:
-    """Set bits among the first n of a big-endian packed bit array."""
-    full, rest = divmod(n, 8)
-    # Whole 8-byte words first, so the per-element counts take an eighth
-    # of the memory the packed bits do.
-    words = full // 8 * 8
-    total = int(np.bitwise_count(bits[:words].view(np.uint64)).sum())
-    total += int(np.bitwise_count(bits[words:full]).sum())
-    if rest:
-        total += int(bits[full] >> (8 - rest)).bit_count()
-    return total
+def _survivor_positions(
+    start: int,
+    count: int,
+    primes: np.ndarray,
+    offsets: tuple[int, ...],
+    count_self_hits: bool,
+) -> np.ndarray:
+    """Ascending positions r < count with S_C(r) == 0, as int64."""
+    walk = _zero_walk(start, count, primes, offsets, count_self_hits)
+    found = [first + step * np.flatnonzero(~hit) for first, step, hit in walk]
+    positions = np.concatenate(found) if found else np.zeros(0, dtype=np.int64)
+    # Each row is an ascending run; a stable sort (timsort) merges runs.
+    positions.sort(kind="stable")
+    return positions
 
 
 def composite_signal(
@@ -404,15 +386,15 @@ def composite_signal(
     count_self_hits: bool = True,
     mode: str = "counts",
 ) -> SignalTrace:
-    """Evaluate S_C over a window, storing counts or a packed survivor mask.
+    """Evaluate S_C over a window, storing counts or survivor positions.
 
     Counts mode strides now and keeps one small integer per position. Mask
-    mode strides nothing here: its trace builds one bit per position on
-    first read, or `certify` counts it without any bits, and either way
-    working memory beyond the bits is bounded by the block size, which
-    suits very large windows. segments is validated but no longer sizes
-    the work: both modes stride fixed cache-sized blocks, so every result
-    is independent of it.
+    mode strides nothing here: its trace collects the survivor positions
+    on first use, or `certify` counts them without keeping any, and either
+    way working memory beyond the survivors is bounded by the block size,
+    which suits very large windows. segments is validated but no longer
+    sizes the work: both modes stride fixed cache-sized blocks, so every
+    result is independent of it.
     """
     if mode not in ("counts", "mask"):
         raise ValueError(f"mode must be 'counts' or 'mask', got {mode!r}")
@@ -455,21 +437,24 @@ def certify(trace: SignalTrace, survivors: bool = False) -> CertifiedResult:
     When every window member exceeds the basis bound, the zero-signal
     positions are exactly the all-prime tuples; members at or below the
     bound can only survive under the proper-multiples signal variant.
-    A mask trace is counted from its packed bits once they are built, and
-    otherwise by the count path over the in_range positions alone, which
-    builds none; only survivors=True makes it build them.
+    A mask trace with survivors asked for, or with its positions already
+    collected, takes the cached positions below in_range; otherwise the
+    count path walks the in_range positions alone and keeps none.
     """
-    if trace.values is None and not survivors:
-        if trace._bits is None:
-            return CertifiedResult(count=_survivor_count(*trace._core_args(trace.in_range)))
-        # Counted straight from the packed bits; no mask is unpacked.
-        return CertifiedResult(count=_count_bits(trace._bits, trace.in_range))
-    zeros = trace.zero_mask()[: trace.in_range]
-    count = int(np.count_nonzero(zeros))
+    if trace.values is not None:
+        zeros = trace.values[: trace.in_range] == 0
+        if not survivors:
+            return CertifiedResult(count=int(np.count_nonzero(zeros)))
+        positions = np.flatnonzero(zeros)
+    elif survivors or trace._survivors is not None:
+        positions = trace._positions()
+        positions = positions[: np.searchsorted(positions, trace.in_range)]
+    else:
+        return CertifiedResult(count=_survivor_count(*trace._core_args(trace.in_range)))
     if not survivors:
-        return CertifiedResult(count=count)
-    starts = trace.window.anchor + 2 * np.flatnonzero(zeros)
-    return CertifiedResult(count=count, survivors=tuple(int(v) for v in starts))
+        return CertifiedResult(count=int(positions.size))
+    starts = trace.window.anchor + 2 * positions
+    return CertifiedResult(count=int(positions.size), survivors=tuple(starts.tolist()))
 
 
 def classical_oracle_count(window: Window, constellation: Constellation) -> int:
@@ -497,7 +482,8 @@ def goldbach_count(even_n: int, survivors: bool = False) -> CertifiedResult:
     equal to a member is excluded, which keeps small prime members alive.
     This is the window core with offsets (0, -even_n) over n = 3 + 2i:
     the second member n - even_n is hit exactly when p | even_n - n.
-    A count alone is taken from the core's lane rows, with no packed bits.
+    A count sums the unhit entries of the mask walk's lane rows, and a
+    survivor list collects their positions; neither packs any bits.
     """
     if even_n % 2 != 0 or even_n < 8:
         raise ValueError(f"goldbach count expects an even integer >= 8, got {even_n}")
@@ -513,8 +499,8 @@ def goldbach_count(even_n: int, survivors: bool = False) -> CertifiedResult:
     args = (3, count, odd_primes_upto(m0), (0, -even_n), False)
     if not survivors:
         return CertifiedResult(count=_survivor_count(*args))
-    values = 3 + 2 * np.flatnonzero(np.unpackbits(_survivor_bits(*args), count=count))
-    return CertifiedResult(count=int(values.size), survivors=tuple(int(v) for v in values))
+    values = 3 + 2 * _survivor_positions(*args)
+    return CertifiedResult(count=int(values.size), survivors=tuple(values.tolist()))
 
 
 def torus_average(basis_primes, constellation: Constellation) -> Fraction:

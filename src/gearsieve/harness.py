@@ -155,7 +155,7 @@ def _table2_row(args: tuple) -> dict:
     m0, constellation, anchor = args
     basis = sweep_basis(m0)
     window = Window.for_capacity(m0, anchor)
-    trace = composite_signal(basis, window, constellation)
+    trace = composite_signal(basis, window, constellation, mode="mask")
     count = certify(trace).count
     report = variance_decomposition(
         basis, window, constellation, observed_count=count

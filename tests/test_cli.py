@@ -51,7 +51,7 @@ def test_scan_command(tmp_path, capsys):
 
 
 def test_scan_count_builds_no_bits(capsys):
-    with mock.patch.object(engine, "_survivor_bits", side_effect=AssertionError):
+    with mock.patch.object(engine, "_survivor_positions", side_effect=AssertionError):
         assert main(["scan", "--m0", "301", "--tuple", "0,2,6"]) == 0
     assert json.loads(capsys.readouterr().out)["count"] == 227
 

@@ -6,6 +6,7 @@ windows small enough for the classical oracle.
 """
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis.strategies import booleans, integers, sampled_from, sets
 
 from gearsieve import engine
-from gearsieve.constellations import Constellation, is_admissible
+from gearsieve.constellations import TWINS, Constellation, is_admissible
 from gearsieve.engine import (
     Window,
     build_basis,
@@ -156,11 +157,16 @@ def test_survivor_count_matches_brute_force(
     # starts from 1 put members 1 and primes above m0 into the self-hit head
     offsets = (0, *sorted(offsets))
     start, primes = 2 * start_half + 1, build_basis(2 * m0_half + 1).primes
-    want = _brute_values(start, count, primes, offsets, count_self_hits)
+    want = np.flatnonzero(_brute_values(start, count, primes, offsets, count_self_hits) == 0)
+    args = (start, count, primes, offsets, count_self_hits)
     with mock.patch.object(engine, "_BLOCK", block), \
             mock.patch.object(engine, "_count_wheel", lambda count, primes: wheel):
-        got = engine._survivor_count(start, count, primes, offsets, count_self_hits)
-    assert got == int(np.count_nonzero(want == 0))
+        counted = engine._survivor_count(*args)
+        listed = engine._survivor_positions(*args)
+    # both consumers of the one mask walk, on the same draw
+    assert counted == want.size
+    assert listed.dtype == np.int64
+    assert listed.tolist() == want.tolist()
 
 
 @settings(max_examples=80, deadline=None)
@@ -179,34 +185,63 @@ def test_lazy_mask_count_matches_built_bits(
     constellation, basis, window = _window_case(offsets, anchor_seed, m0_half, length_seed)
     with mock.patch.object(engine, "_BLOCK", block), \
             mock.patch.object(engine, "_count_wheel", lambda count, primes: wheel), \
-            mock.patch.object(engine, "_survivor_bits", side_effect=AssertionError):
+            mock.patch.object(engine, "_survivor_positions", side_effect=AssertionError):
         lazy = composite_signal(
             basis, window, constellation, count_self_hits=count_self_hits, mode="mask"
         )
         counted = certify(lazy).count
-    with mock.patch.object(engine, "_BLOCK", block):
+    collected = []
+    collect = engine._survivor_positions
+
+    def spy(*args):
+        collected.append(args)
+        return collect(*args)
+
+    with mock.patch.object(engine, "_BLOCK", block), \
+            mock.patch.object(engine, "_survivor_positions", spy):
         bits = lazy.zero_bits
-    assert bits.size == (window.positions + 7) // 8
-    assert lazy.zero_bits is bits  # built once, then kept
-    assert certify(lazy).count == counted
+        assert np.array_equal(lazy.zero_bits, bits)
+        # counted again from the cached positions, below in_range
+        assert certify(lazy).count == counted
+    assert len(collected) == 1  # strided once, then kept
     zeros = _brute_values(
-        window.anchor, window.in_range_positions(constellation.span), basis.primes,
-        constellation.offsets, count_self_hits,
+        window.anchor, window.positions, basis.primes, constellation.offsets, count_self_hits
     ) == 0
-    assert counted == int(np.count_nonzero(zeros))
+    assert np.array_equal(bits, np.packbits(zeros))
+    assert counted == int(np.count_nonzero(zeros[: window.in_range_positions(constellation.span)]))
 
 
 @settings(max_examples=150, deadline=None)
-@given(integers(min_value=4, max_value=GOLDBACH_LIMIT // 2), sampled_from(BLOCK_SIZES))
-def test_goldbach_matches_brute_force(half, block):
+@given(
+    integers(min_value=4, max_value=GOLDBACH_LIMIT // 2),
+    sampled_from(BLOCK_SIZES),
+    sampled_from(WHEELS),
+)
+def test_goldbach_matches_brute_force(half, block, wheel):
     even = 2 * half
     n = np.arange(3, half + 1, 2)
     want = n[PRIME_FLAGS[n] & PRIME_FLAGS[even - n]]
-    with mock.patch.object(engine, "_BLOCK", block):
+    with mock.patch.object(engine, "_BLOCK", block), \
+            mock.patch.object(engine, "_count_wheel", lambda count, primes: wheel):
         counted = goldbach_count(even)
         listed = goldbach_count(even, survivors=True)
-    # the count-only path packs no bits, so it is checked on its own
+    # the count path keeps no positions, so it is checked on its own
     assert counted.count == want.size
     assert counted.survivors is None
     assert len(listed.survivors) == want.size
     assert listed.survivors == tuple(want.tolist())
+
+
+def test_survivor_list_peak_memory_below_a_byte_per_position():
+    # the survivors are a sparse set: about 1.2% of positions for twins
+    # here, kept as int64, so no per-position mask may be built
+    basis = build_basis(3001)
+    window = Window.for_capacity(3001)
+    tracemalloc.start()
+    try:
+        result = certify(composite_signal(basis, window, TWINS, mode="mask"), survivors=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.count == len(result.survivors) > 0
+    assert peak < window.positions
