@@ -277,10 +277,21 @@ def weighted_product_sum(
 ) -> int:
     """W = sum_{j=1}^{J} (R - s j) * prod_p n_p(s j mod p), exactly.
 
-    R = positions, s = stride, J = (R - 1) // s and n_p = tau_numerators.
-    With s = 1 this is the weighted covariance sum over every distance;
-    with s a blocking prime of the basis it is the same sum, because
-    n_s(d) = 0 whenever s does not divide d.
+    R = positions, s = stride, J = (R - 1) // s and n_p = tau_numerators;
+    the kernel is _weighted_table_sum on the primes' tables at multiples
+    of s.
+    """
+    tables = _tables_at_multiples(constellation, primes, stride)
+    return _weighted_table_sum(tables, positions, stride)
+
+
+def _weighted_table_sum(tables, positions: int, stride: int) -> int:
+    """W = sum_{j=1}^{J} (R - s j) * prod_p table_p[j mod p], exactly.
+
+    tables are (p, table_p) with table_p[t] = n_p(s t mod p), as built by
+    _tables_at_multiples. With s = 1 this is the weighted covariance sum
+    over every distance; with s a blocking prime of the basis it is the
+    same sum, because n_s(d) = 0 whenever s does not divide d.
 
     Multimodular evaluation (Knuth, TAOCP vol. 2, 4.3.2): every term is
     below R * prod p, so W < R^2 * prod p, and W is summed modulo enough
@@ -300,12 +311,12 @@ def weighted_product_sum(
     count = (r - 1) // s
     if count <= 0:
         return 0
-    bound = r * r * math.prod(primes)
+    bound = r * r * math.prod(p for p, _ in tables)
     moduli, product = crt_moduli(bound)
     if product <= bound:
         raise InvariantError(f"CRT moduli product does not exceed the bound {bound}")
     dense, sparse = [], []
-    for p, nums in _tables_at_multiples(constellation, primes, s):
+    for p, nums in tables:
         base, residues = _table_base(nums)
         if 2 * residues.size >= p:
             dense.append((p, nums))
@@ -345,43 +356,45 @@ def weighted_product_sum(
 
 
 def _sigma_off_direct_exact(
-    constellation: Constellation, primes: list[int], positions: int, stride: int
+    constellation: Constellation, tables, positions: int, stride: int
 ) -> Fraction:
     """Sum_{d=1}^{R-1} (R - d) * (prod_p tau_p(d) - mu^2), exactly.
 
-    With Q = prod p and M = prod (p - omega(p)), each product of taus is
-    an integer over Q, so the whole sum is weighted_product_sum over Q
+    tables are the basis primes' _tables_at_multiples of stride. With
+    Q = prod p and M = prod (p - omega(p)), each product of taus is an
+    integer over Q, so the whole sum is the weighted product sum over Q
     minus mu^2 times the total weight, with a single final division.
     stride may be a blocking prime of the basis; the value is the same.
     """
+    primes = [p for p, _ in tables]
     big_q = math.prod(primes)
     big_m = math.prod(p - omega(constellation, p) for p in primes)
-    weighted = weighted_product_sum(constellation, primes, positions, stride)
+    weighted = _weighted_table_sum(tables, positions, stride)
     total_weight = positions * (positions - 1) // 2
     return Fraction(weighted * big_q - big_m * big_m * total_weight, big_q * big_q)
 
 
 def _sigma_off_split_float(
-    constellation: Constellation, primes: list[int], positions: int, p_b: int
+    constellation: Constellation, tables, positions: int, p_b: int
 ) -> float:
     """The blocked/surviving split of the covariance sum, in float64.
 
-    Distances not divisible by the blocking prime p_b contribute exactly
-    -mu^2 each (tau_{p_b} vanishes there); the multiples d = p_b * j keep
-    the product over the other primes times 1/p_b. Tables read at j mod p
-    let the sparse corrections run as strided slices over j, in chunks.
+    tables are the basis primes' _tables_at_multiples of p_b. Distances
+    not divisible by the blocking prime p_b contribute exactly -mu^2 each
+    (tau_{p_b} vanishes there); the multiples d = p_b * j keep the product
+    over the other primes times 1/p_b. Tables read at j mod p let the
+    sparse corrections run as strided slices over j, in chunks.
     """
     from .exact import exact_float_sum
 
     r = positions
     dmax = (r - 1) // p_b
     mu = 1.0
-    for p in primes:
+    for p, _ in tables:
         mu *= (p - omega(constellation, p)) / p
     on_weight = dmax * r - p_b * dmax * (dmax + 1) // 2
     off_weight = r * (r - 1) // 2 - on_weight
-    rest = [p for p in primes if p != p_b]
-    const, corrections = sparse_factors(_tables_at_multiples(constellation, rest, p_b))
+    const, corrections = sparse_factors([(p, t) for p, t in tables if p != p_b])
     surviving = exact_float_sum(
         (r - p_b * np.arange(j, j + acc.size)).astype(np.float64) * (acc - mu * mu)
         for j, acc in sparse_products(const / p_b, corrections, 1, dmax + 1)
@@ -429,21 +442,22 @@ def variance_decomposition(
     blocking_in_basis = [p for p in report.blocking if p in primes]
     p_b = min(blocking_in_basis) if blocking_in_basis else None
 
-    sigma_off_direct = None
-    sigma_off_split = None
-    if p_b is not None:
-        sigma_off_split = _sigma_off_split_float(constellation, primes, positions, p_b)
-    if positions <= EXACT_POSITION_LIMIT:
-        sigma_off_direct = float(
-            _sigma_off_direct_exact(constellation, primes, positions, p_b or 1)
-        )
-        sigma_off = sigma_off_direct
-    elif sigma_off_split is not None:
-        sigma_off = sigma_off_split
-    else:
+    if p_b is None and positions > EXACT_POSITION_LIMIT:
         raise ValueError(
             f"window too large for the direct sum and {constellation.name} "
             "has no blocking prime for the split method"
+        )
+    # Both sums read the tables at multiples of p_b (or of 1); built once.
+    tables = _tables_at_multiples(constellation, primes, p_b or 1)
+    sigma_off_direct = None
+    sigma_off_split = None
+    if p_b is not None:
+        sigma_off = sigma_off_split = _sigma_off_split_float(
+            constellation, tables, positions, p_b
+        )
+    if positions <= EXACT_POSITION_LIMIT:
+        sigma_off = sigma_off_direct = float(
+            _sigma_off_direct_exact(constellation, tables, positions, p_b or 1)
         )
 
     variance = sigma_diag + sigma_off

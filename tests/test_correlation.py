@@ -15,6 +15,7 @@ from gearsieve.correlation import (
     EXACT_POSITION_LIMIT,
     _sigma_off_direct_exact,
     _sigma_off_split_float,
+    _tables_at_multiples,
     asymptotic_report,
     crt_average,
     fano_theoretical,
@@ -143,7 +144,8 @@ def test_sigma_off_split_float_matches_dense_product():
         for m0 in (101, 211):
             primes = [int(p) for p in odd_primes_upto(m0)]
             positions = Window(7, m0 * m0).positions
-            got = _sigma_off_split_float(constellation, primes, positions, 3)
+            tables = _tables_at_multiples(constellation, primes, 3)
+            got = _sigma_off_split_float(constellation, tables, positions, 3)
             want = _dense_split_reference(constellation, primes, positions, 3)
             assert got == pytest.approx(want, rel=1e-12)
 
@@ -405,7 +407,8 @@ def test_weighted_product_sum_large_basis_tiny_window(monkeypatch):
     want = _bigint_weighted_sum(TWINS, primes, positions, 1)
     report = variance_decomposition(build_basis(1999), Window(7, 106), TWINS, observed_count=3)
     assert report.positions == positions
-    assert report.sigma_off_direct == float(_sigma_off_direct_exact(TWINS, primes, positions, 1))
+    tables = _tables_at_multiples(TWINS, primes, 1)
+    assert report.sigma_off_direct == float(_sigma_off_direct_exact(TWINS, tables, positions, 1))
     for stride in (1, 3):
         assert weighted_product_sum(TWINS, primes, positions, stride) == want
     monkeypatch.setattr(correlation, "_KERNEL_ENTRIES", 400)
@@ -428,8 +431,9 @@ def test_sigma_off_split_float_matches_exact_sum():
     # the float split against the exact multimodular sum at m0 = 500
     primes = [int(p) for p in odd_primes_upto(499)]
     positions = Window(7, 500 * 500).positions
-    exact = float(_sigma_off_direct_exact(TWINS, primes, positions, 3))
-    got = _sigma_off_split_float(TWINS, primes, positions, 3)
+    tables = _tables_at_multiples(TWINS, primes, 3)
+    exact = float(_sigma_off_direct_exact(TWINS, tables, positions, 3))
+    got = _sigma_off_split_float(TWINS, tables, positions, 3)
     assert got == pytest.approx(exact, rel=1e-11)
 
 
@@ -465,12 +469,12 @@ def test_exact_float_sum_extremes():
 
 def test_float_paths_chunk_invariant(monkeypatch):
     basis, window = build_basis(149), Window(7, 150 * 150)
-    primes = [int(p) for p in basis.primes]
-    split = _sigma_off_split_float(TWINS, primes, window.positions, 3)
+    tables = _tables_at_multiples(TWINS, [int(p) for p in basis.primes], 3)
+    split = _sigma_off_split_float(TWINS, tables, window.positions, 3)
     expected = variance_decomposition(basis, window, TWINS, mu_source="expected")
     for size in (1000, 7):
         monkeypatch.setattr(correlation, "_SUM_CHUNK", size)
-        assert _sigma_off_split_float(TWINS, primes, window.positions, 3) == split
+        assert _sigma_off_split_float(TWINS, tables, window.positions, 3) == split
         assert variance_decomposition(basis, window, TWINS, mu_source="expected") == expected
 
 
@@ -479,11 +483,25 @@ def test_variance_decomposition_rejects_window_past_cap(monkeypatch):
     def unreachable(*args):
         raise AssertionError("the window cap was not checked first")
 
+    monkeypatch.setattr(correlation, "_tables_at_multiples", unreachable)
     monkeypatch.setattr(correlation, "_sigma_off_split_float", unreachable)
-    monkeypatch.setattr(correlation, "weighted_product_sum", unreachable)
+    monkeypatch.setattr(correlation, "_weighted_table_sum", unreachable)
     basis = build_basis(31623)
     window = Window.for_capacity(31623)
     assert window.end > MAX_WINDOW_END
     for source in ("expected", "observed"):
         with pytest.raises(ValueError, match="exceeds"):
             variance_decomposition(basis, window, TWINS, mu_source=source)
+
+
+def test_variance_report_builds_each_tau_table_once():
+    # the split and the exact sum both run here and share one set of tables
+    basis, window = build_basis(101), Window(7, 101 * 101)
+    assert window.positions <= EXACT_POSITION_LIMIT
+    for constellation in (TWINS, TRIPLE, SEXY):
+        with mock.patch.object(correlation, "tau_numerators", wraps=tau_numerators) as spy:
+            report = variance_decomposition(basis, window, constellation, observed_count=100)
+        assert report.sigma_off_direct is not None
+        assert (report.sigma_off_split is not None) == (constellation is not SEXY)
+        called = sorted(args[1] for args, _ in spy.call_args_list)
+        assert called == [int(p) for p in basis.primes]
