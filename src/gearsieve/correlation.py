@@ -428,6 +428,16 @@ def variance_decomposition(
     if not report.admissible:
         raise ValueError(f"constellation {constellation.name} is not admissible")
     positions = window.positions
+    primes = [int(p) for p in basis.primes]
+    blocking_in_basis = [p for p in report.blocking if p in primes]
+    p_b = min(blocking_in_basis) if blocking_in_basis else None
+    # Checked before the count, which would stride the whole window.
+    if p_b is None and positions > EXACT_POSITION_LIMIT:
+        raise ValueError(
+            f"window too large for the direct sum and {constellation.name} "
+            "has no blocking prime for the split method"
+        )
+
     if mu_source == "observed":
         if observed_count is None:
             trace = composite_signal(basis, window, constellation, mode="mask")
@@ -438,15 +448,6 @@ def variance_decomposition(
 
     sigma_diag = mu * (1.0 - mu / positions) if positions > 0 else 0.0
 
-    primes = [int(p) for p in basis.primes]
-    blocking_in_basis = [p for p in report.blocking if p in primes]
-    p_b = min(blocking_in_basis) if blocking_in_basis else None
-
-    if p_b is None and positions > EXACT_POSITION_LIMIT:
-        raise ValueError(
-            f"window too large for the direct sum and {constellation.name} "
-            "has no blocking prime for the split method"
-        )
     # Both sums read the tables at multiples of p_b (or of 1); built once.
     tables = _tables_at_multiples(constellation, primes, p_b or 1)
     sigma_off_direct = None

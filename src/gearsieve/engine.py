@@ -15,8 +15,11 @@ once, and fixed cache-sized blocks advance them arithmetically, so results
 never depend on how a caller would partition the window. Mask mode walks
 only the wheel lanes: the positions r mod 15 where no member is divisible
 by 3 or 5, or r mod 105 on long windows, where 7 is removed too. One walk
-over those lane rows serves both a count, which sums each row's unhit
-entries, and a survivor list, which collects their positions.
+over those lane rows, one core call, serves both a count, which sums each
+row's unhit entries, and a survivor list, which collects their positions.
+Under the proper-multiples variant the core skips each lane's self-hit,
+and the few positions with a member equal to a wheel prime are checked
+directly.
 """
 
 from __future__ import annotations
@@ -193,13 +196,17 @@ def _counter_dtype(start: int, count: int, offsets: tuple[int, ...]) -> type:
     return np.uint8 if bound <= 255 else np.uint16
 
 
-def _stride_blocks(start, count, primes, offsets, modulus, lanes, dtype):
+def _stride_blocks(start, count, primes, offsets, modulus, lanes, dtype, count_self_hits):
     """The striding core: every (lane, offset, prime) hit, one block at a time.
 
     Lane c holds the positions r = c + modulus*t, whose members are
     start + 2c + h + 2*modulus*t, so p | member exactly when
     t = -(start + 2c + h) / (2*modulus) mod p. Primes dividing modulus are
     skipped; the caller accounts for them through its choice of lanes.
+    Without self-hits, a triple whose first hit at t >= 0 is the member +p
+    starts one period later. That is exact unless a hit comes before +p,
+    which needs a member -p first; a member -p for a strided prime raises
+    InvariantError, since no caller has one.
     Yields (t_lo, i, row) for t_lo = 0, _BLOCK, ... and, within each
     block, every lane index i in turn: row[j] covers t = t_lo + j of lane
     lanes[i] and holds its hit count (an integer dtype) or whether it was
@@ -215,6 +222,13 @@ def _stride_blocks(start, count, primes, offsets, modulus, lanes, dtype):
     bases = np.array([start + 2 * c + h for c in lanes for h in offsets], dtype=np.int64)
     t0 = ((-bases[:, None] % ps) * inv % ps).ravel()
     step = np.broadcast_to(ps, (bases.size, ps.size)).ravel()
+    if not count_self_hits:
+        twice = -ps[:, None] - np.array(offsets, dtype=np.int64) - start
+        if np.any((twice >= 0) & (twice % 2 == 0) & (twice < 2 * count)):
+            raise InvariantError(
+                f"a member equals -p for a basis prime p, start {start}, count {count}"
+            )
+        t0 += step * (np.repeat(bases, ps.size) + 2 * modulus * t0 == step)
     steps = step.tolist()
     per_lane = len(offsets) * ps.size
     counts = row.dtype != bool
@@ -222,7 +236,8 @@ def _stride_blocks(start, count, primes, offsets, modulus, lanes, dtype):
     # that conversion is about a quarter of a short slice's cost.
     hit = np.ones((), dtype=bool)
     for t_lo in range(0, n_t, _BLOCK):
-        firsts = ((t0 - t_lo) % step).tolist()
+        # t0 may lie a period past its residue; max keeps that skip.
+        firsts = np.maximum(t0 - t_lo, (t0 - t_lo) % step).tolist()
         for i in range(len(lanes)):
             row.fill(0)
             lane = slice(i * per_lane, (i + 1) * per_lane)
@@ -278,7 +293,8 @@ def signal_values(
             f"position count {count} exceeds the supported {MAX_WINDOW_END // 2}"
         )
     values = np.empty(count, dtype=_counter_dtype(start, count, offsets))
-    for t_lo, _, row in _stride_blocks(start, count, primes, offsets, 1, [0], values.dtype):
+    core = _stride_blocks(start, count, primes, offsets, 1, [0], values.dtype, True)
+    for t_lo, _, row in core:
         width = min(row.size, count - t_lo)
         values[t_lo : t_lo + width] = row[:width]
     if not count_self_hits:
@@ -296,18 +312,20 @@ def _count_wheel(count: int, primes: np.ndarray) -> tuple[int, ...]:
     return _COUNT_WHEEL if count // 105 >= 256 * len(primes) else _WHEEL
 
 
-def _wheel_plan(start, count, primes, offsets, count_self_hits):
-    """Mask mode's wheel lanes and exact head: (modulus, lanes, head_hit).
+def _zero_walk(start, count, primes, offsets, count_self_hits):
+    """The one mask walk: rows (first, step, hit) over positions r < count.
 
+    Position first + step*j has S_C(r) == 0 exactly where hit[j] is False.
     The wheel is `_count_wheel`'s choice for this count and basis. Its
     primes that are in the basis (3 and 5, or 3, 5 and 7) are handled by
     construction: only the lanes r mod modulus where none of them divides
-    a member are sieved, and every other position is a hit. Without
-    self-hits, these literal marks are wrong only where a member is +-p
-    for a basis prime p. Those positions lie in a prefix that ends at the
-    last of them (in a window, where members pass the basis bound);
-    head_hit is the exact (S_C(r) != 0) over that prefix, from counts, and
-    is empty otherwise.
+    a member are strided, and every other position is a hit. One core call
+    yields each lane's row, block by block; blocks ascend, but the lanes of
+    one block interleave. A lane row is the core's reused buffer, so
+    consume it before asking for the next. Without self-hits, the core
+    skips each lane member +p, and a position with a member +-q for a
+    wheel prime q, off the lanes, follows as a one-entry row (r, 1, hit),
+    checked directly against the whole basis.
     """
     in_basis = set(primes.tolist())
     wheel = [q for q in _count_wheel(count, primes) if q in in_basis]
@@ -316,38 +334,18 @@ def _wheel_plan(start, count, primes, offsets, count_self_hits):
         c for c in range(modulus)
         if all((start + 2 * c + h) % q != 0 for q in wheel for h in offsets)
     ]
-    head_hit = np.zeros(0, dtype=bool)
-    if not count_self_hits:
-        hits = _self_hit_positions(start, count, primes, offsets)
-        if hits.size:
-            head = int(hits.max()) + 1
-            head_hit = signal_values(start, head, primes, offsets, count_self_hits=False) != 0
-    return modulus, lanes, head_hit
-
-
-def _zero_walk(start, count, primes, offsets, count_self_hits):
-    """The one mask walk: rows (first, step, hit) over positions r < count.
-
-    Position first + step*j has S_C(r) == 0 exactly where hit[j] is False.
-    The exact head from `_wheel_plan` comes first, with step 1; then each
-    wheel lane's row, block by block, past the head. Positions outside the
-    wheel lanes are hits and lie in no row. Blocks ascend, but the lanes
-    of one block interleave. A lane row is the core's reused buffer, so
-    consume it before asking for the next.
-    """
-    modulus, lanes, head_hit = _wheel_plan(start, count, primes, offsets, count_self_hits)
-    head = head_hit.size
-    if head:
-        yield 0, 1, head_hit
-    # Lane c holds r = c + modulus*t: t < ends[i] is inside the window and
-    # t < heads[i] is inside the head.
+    # Lane c holds r = c + modulus*t, and t < ends[i] is inside the window.
     ends = [-(-(count - c) // modulus) for c in lanes]
-    heads = [max(0, -(-(head - c) // modulus)) for c in lanes]
-    for t_lo, i, row in _stride_blocks(start, count, primes, offsets, modulus, lanes, bool):
-        a = max(heads[i] - t_lo, 0)
-        b = min(ends[i] - t_lo, row.size)
-        if b > a:
-            yield lanes[i] + modulus * (t_lo + a), modulus, row[a:b]
+    core = _stride_blocks(start, count, primes, offsets, modulus, lanes, bool, count_self_hits)
+    for t_lo, i, row in core:
+        width = min(ends[i] - t_lo, row.size)
+        if width > 0:
+            yield lanes[i] + modulus * t_lo, modulus, row[:width]
+    if count_self_hits:
+        return
+    for r in set(_self_hit_positions(start, count, wheel, offsets).tolist()):
+        members = start + 2 * r + np.array(offsets, dtype=np.int64)[:, None]
+        yield r, 1, np.array([np.any((members % primes == 0) & (np.abs(members) != primes))])
 
 
 def _survivor_count(

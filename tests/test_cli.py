@@ -136,6 +136,16 @@ def test_float_sum_commands_past_window_cap_exit_two(capsys):
     assert err.count(str(MAX_WINDOW_END)) == 2
 
 
+def test_moments_without_split_past_exact_limit_exits_two_before_counting(capsys):
+    # (0, 6) has no blocking prime, and m0 = 20001 has more positions than
+    # the exact sum takes, so the report is refused before any striding
+    unreachable = AssertionError("the window was counted before the size check")
+    with mock.patch.object(correlation, "composite_signal", side_effect=unreachable), \
+            mock.patch.object(correlation, "certify", side_effect=unreachable):
+        assert main(["moments", "--m0", "20001", "--tuple", "0,6"]) == 2
+    assert "no blocking prime" in capsys.readouterr().err
+
+
 def test_fourier_command(capsys):
     assert main(["fourier", "--pmax", "7"]) == 0
     lines = capsys.readouterr().out.splitlines()

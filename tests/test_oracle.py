@@ -25,6 +25,7 @@ from gearsieve.engine import (
     classical_oracle_count,
     composite_signal,
     first_candidate_above,
+    goldbach_count,
 )
 from gearsieve.primes import is_prime_trial
 
@@ -155,3 +156,14 @@ def test_published_counts():
         assert certify(trace).count + 1 == want
     primes_only = Constellation("prime", (0,))
     assert classical_oracle_count(Window(5, 10**8), primes_only) + 2 == PI_1E8
+
+
+# Goldbach partitions r(10^k): the n <= 10^k/2 with n and 10^k - n both
+# prime, for k = 1..9 (OEIS A065577), as published.
+GOLDBACH_R = (2, 6, 28, 127, 810, 5402, 38807, 291400, 2274205)
+
+
+def test_published_goldbach_counts():
+    for k, want in enumerate(GOLDBACH_R, start=1):
+        assert goldbach_count(10**k).count == want
+    assert len(goldbach_count(10**6, survivors=True).survivors) == GOLDBACH_R[5]

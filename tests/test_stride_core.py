@@ -10,6 +10,7 @@ import tracemalloc
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis.strategies import booleans, integers, sampled_from, sets
 
@@ -25,6 +26,7 @@ from gearsieve.engine import (
     goldbach_count,
     proper_signal,
 )
+from gearsieve.errors import InvariantError
 
 # Block sizes must keep every block a whole number of bytes of positions.
 BLOCK_SIZES = (8, 16, 64, engine._BLOCK)
@@ -123,8 +125,8 @@ def test_signal_matches_brute_force_and_modes_agree(
         window.anchor, window.positions, basis.primes, constellation.offsets, count_self_hits
     )
     assert counts.values.tolist() == want.tolist()
-    # mask mode without self-hits patches its prefix from counts; this
-    # pins the patch to the whole-window truth
+    # mask mode without self-hits skips each lane's self-hit and checks the
+    # off-lane ones directly; this pins both to the whole-window truth
     assert np.array_equal(mask_zeros, counts.values == 0)
     assert survivors == certify(counts, survivors=True)
     if count_self_hits:
@@ -147,14 +149,24 @@ def test_signal_matches_brute_force_and_modes_agree(
 # m0 = 5: 7 is not in the basis, so the 105 wheel falls back to 15 lanes
 @example(set(), 0, 2, 500, False, 8, (3, 5, 7))
 @example({2}, 0, 2, 500, True, 16, (3, 5, 7))
-# a member equal to 7 lies in a lane the 105 wheel drops; the head keeps it
+# a member equal to 7 lies in a lane the 105 wheel drops; it is checked
+# directly against the basis
 @example({2}, 3, 10, 3_000, False, 8, (3, 5, 7))
 @example({4}, 1, 10, 3_000, False, 64, (3, 5, 7))
 @example({2, 6}, 0, 20, 3_000, False, 16, (3, 5, 7))
+# members equal to 3, 5 and 7 without self-hits, on both wheels: off the
+# lanes each is checked directly, and a lane member 7 skips its first hit
+@example(set(), 1, 3, 200, False, 8, (3, 5))
+@example(set(), 1, 3, 200, False, 8, (3, 5, 7))
+@example({2}, 0, 5, 500, False, 16, (3, 5))
+@example({2}, 0, 5, 500, False, 16, (3, 5, 7))
+@example({4, 6}, 2, 12, 1_000, False, 8, (3, 5))
+@example({4, 6}, 2, 12, 1_000, False, 8, (3, 5, 7))
 def test_survivor_count_matches_brute_force(
     offsets, start_half, m0_half, count, count_self_hits, block, wheel
 ):
-    # starts from 1 put members 1 and primes above m0 into the self-hit head
+    # starts from 1 put the member 1 and small basis primes, so self-hits,
+    # at the start of the walk
     offsets = (0, *sorted(offsets))
     start, primes = 2 * start_half + 1, build_basis(2 * m0_half + 1).primes
     want = np.flatnonzero(_brute_values(start, count, primes, offsets, count_self_hits) == 0)
@@ -230,6 +242,50 @@ def test_goldbach_matches_brute_force(half, block, wheel):
     assert counted.survivors is None
     assert len(listed.survivors) == want.size
     assert listed.survivors == tuple(want.tolist())
+
+
+def test_goldbach_small_even_values_exhaustively():
+    # every E up to 100 has members equal to 3, 5 or 7, some off the lanes
+    for block in BLOCK_SIZES:
+        for wheel in WHEELS:
+            with mock.patch.object(engine, "_BLOCK", block), \
+                    mock.patch.object(engine, "_count_wheel", lambda count, primes: wheel):
+                for even in range(8, 101, 2):
+                    n = np.arange(3, even // 2 + 1, 2)
+                    want = n[PRIME_FLAGS[n] & PRIME_FLAGS[even - n]]
+                    assert goldbach_count(even).count == want.size
+                    assert goldbach_count(even, survivors=True).survivors == tuple(want.tolist())
+
+
+def test_member_minus_p_is_rejected():
+    # r = 4 has the members 9 and -11. The self-hit skip is exact only when
+    # no member is -p, which no caller has, so the walk refuses one
+    with pytest.raises(InvariantError):
+        engine._survivor_count(1, 50, build_basis(11).primes, (0, -20), False)
+
+
+def test_proper_mask_walk_makes_one_core_call():
+    # the mask walk never recomputes a prefix through the counts path
+    unreachable = mock.patch.object(engine, "signal_values", side_effect=AssertionError)
+    basis, window = build_basis(31), Window(5, 31 * 31)
+    with unreachable:
+        counted = goldbach_count(1000)
+        listed = goldbach_count(1000, survivors=True)
+        proper = certify(
+            composite_signal(basis, window, TWINS, count_self_hits=False, mode="mask"),
+            survivors=True,
+        )
+        proper_count = certify(
+            composite_signal(basis, window, TWINS, count_self_hits=False, mode="mask")
+        ).count
+    n = np.arange(3, 501, 2)
+    want = n[PRIME_FLAGS[n] & PRIME_FLAGS[1000 - n]]
+    assert counted.count == want.size
+    assert listed.survivors == tuple(want.tolist())
+    values = _brute_values(window.anchor, window.positions, basis.primes, TWINS.offsets, False)
+    positions = np.flatnonzero(values[: window.in_range_positions(TWINS.span)] == 0)
+    assert proper_count == proper.count == positions.size
+    assert proper.survivors == tuple((window.anchor + 2 * positions).tolist())
 
 
 def test_survivor_list_peak_memory_below_a_byte_per_position():
