@@ -19,7 +19,8 @@ over those lane rows, one core call, serves both a count, which sums each
 row's unhit entries, and a survivor list, which collects their positions.
 Under the proper-multiples variant the core skips each lane's self-hit,
 and the few positions with a member equal to a wheel prime are checked
-directly.
+directly. Counts mode strides one lane; `signal_sums` streams those blocks
+into exact sums without keeping a counter per position.
 """
 
 from __future__ import annotations
@@ -147,7 +148,18 @@ class SignalTrace:
     def zero_bits(self) -> np.ndarray | None:
         if self.values is not None:
             return None
-        return np.packbits(self.zero_mask())
+        # Packed one block of positions at a time, so no mask spans the
+        # window; a block is a whole number of bytes.
+        positions, n = self._positions(), self.window.positions
+        bits = np.empty(-(-n // 8), dtype=np.uint8)
+        mask = np.empty(min(_BLOCK, n), dtype=bool)
+        for lo in range(0, n, _BLOCK):
+            block = mask[: n - lo]
+            block.fill(False)
+            first, stop = np.searchsorted(positions, (lo, lo + block.size))
+            block[positions[first:stop] - lo] = True
+            bits[lo // 8 : (lo + block.size + 7) // 8] = np.packbits(block)
+        return bits
 
     def zero_mask(self) -> np.ndarray:
         """Boolean survivor mask over all positions, from either storage."""
@@ -376,6 +388,14 @@ def _survivor_positions(
     return positions
 
 
+def _check_signal(window: Window, constellation: Constellation) -> None:
+    """Reject a window or tuple outside the signal's domain, before striding."""
+    if window.end > MAX_WINDOW_END:
+        raise ValueError(f"window end {window.end} exceeds the supported {MAX_WINDOW_END}")
+    if not is_admissible(constellation).admissible:
+        raise ValueError(f"constellation {constellation.name} is not admissible")
+
+
 def composite_signal(
     basis: SieveBasis,
     window: Window,
@@ -396,11 +416,7 @@ def composite_signal(
     """
     if mode not in ("counts", "mask"):
         raise ValueError(f"mode must be 'counts' or 'mask', got {mode!r}")
-    if window.end > MAX_WINDOW_END:
-        raise ValueError(f"window end {window.end} exceeds the supported {MAX_WINDOW_END}")
-    report = is_admissible(constellation)
-    if not report.admissible:
-        raise ValueError(f"constellation {constellation.name} is not admissible")
+    _check_signal(window, constellation)
     if segments < 1:
         raise ValueError(f"segment count must be >= 1, got {segments}")
     trace = SignalTrace(
@@ -427,6 +443,79 @@ def proper_signal(literal: SignalTrace) -> SignalTrace:
     window, offsets = literal.window, literal.constellation.offsets
     _drop_self_hits(values, window.anchor, literal.basis.primes, offsets)
     return replace(literal, count_self_hits=False, values=values)
+
+
+@dataclass(frozen=True)
+class SignalSums:
+    """Exact integer sums of S_C over every position of a window.
+
+    literal_* and proper_* are Σ S and Σ S² under each signal variant.
+    strict counts the literal zeros below in_range, as `certify` does on a
+    literal trace; inclusive counts the proper zeros over all positions.
+    """
+
+    positions: int
+    literal_sum: int
+    literal_squares: int
+    proper_sum: int
+    proper_squares: int
+    strict: int
+    inclusive: int
+
+    def moments(self, proper: bool) -> tuple[float, float]:
+        """Mean and population variance of one variant, correctly rounded."""
+        n = self.positions
+        if proper:
+            total, squares = self.proper_sum, self.proper_squares
+        else:
+            total, squares = self.literal_sum, self.literal_squares
+        return total / n, float(Fraction(n * squares - total * total, n * n))
+
+
+def signal_sums(
+    basis: SieveBasis, window: Window, constellation: Constellation
+) -> SignalSums:
+    """Stream S_C over a window once, keeping only exact integer sums.
+
+    One counts-mode core call (one lane, no wheel), consumed block by
+    block, so no array outlives a block. The proper variant differs from
+    the literal one only at the self-hit positions: their literal values
+    are read as their block passes, and the literal sums corrected there.
+    The checks are composite_signal's, made before any striding.
+    """
+    _check_signal(window, constellation)
+    start, count, offsets = window.anchor, window.positions, constellation.offsets
+    in_range = window.in_range_positions(constellation.span)
+    hits, drops = np.unique(
+        _self_hit_positions(start, count, basis.primes, offsets), return_counts=True
+    )
+    at_hits = np.zeros(hits.size, dtype=np.int64)
+    dtype = _counter_dtype(start, count, offsets)
+    # A counter's square fits a type twice its width.
+    wide = np.dtype(f"u{2 * np.dtype(dtype).itemsize}")
+    total = squares = zeros = strict = 0
+    for t_lo, _, row in _stride_blocks(start, count, basis.primes, offsets, 1, [0], dtype, True):
+        block = row[: count - t_lo]
+        total += int(block.sum(dtype=np.uint64))
+        square = block.astype(wide)
+        np.multiply(square, square, out=square)
+        squares += int(square.sum(dtype=np.uint64))
+        zeros += block.size - int(np.count_nonzero(block))
+        head = block[: max(in_range - t_lo, 0)]
+        strict += head.size - int(np.count_nonzero(head))
+        inside = (hits >= t_lo) & (hits < t_lo + block.size)
+        at_hits[inside] = block[hits[inside] - t_lo]
+    proper = at_hits - drops
+    return SignalSums(
+        positions=count,
+        literal_sum=total,
+        literal_squares=squares,
+        proper_sum=total - int(drops.sum()),
+        proper_squares=squares - int(np.sum(at_hits * at_hits - proper * proper)),
+        strict=strict,
+        # A self-hit position is never a literal zero.
+        inclusive=zeros + int(np.count_nonzero(proper == 0)),
+    )
 
 
 def certify(trace: SignalTrace, survivors: bool = False) -> CertifiedResult:

@@ -3,6 +3,11 @@
 Every run is a pure function of its configuration: reruns produce
 byte-identical files, and the worker count only changes wall time, never
 output. Rows are always written in ascending m0 order.
+
+table1 and figure rows take their statistics from one streamed pass over
+the window (`signal_sums`): exact integer sums and zero counts under both
+signal variants, with no array that grows with the window. table2 counts
+a mask trace.
 """
 
 from __future__ import annotations
@@ -10,23 +15,19 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from .constellations import Constellation, TWINS
 from .correlation import fano_theoretical, mean_field, variance_decomposition
-from .engine import SieveBasis, Window, build_basis, certify, composite_signal, proper_signal
+from .engine import SieveBasis, Window, build_basis, certify, composite_signal, signal_sums
 from .fourier import FitResult, fit_decay_exponent, weighted_ergodic_sum
 
 MEAN_SOURCES = ("proper", "literal")
 SURVIVOR_RANGES = ("inclusive", "strict")
 H_CONVENTIONS = ("appendix_c", "section4")
 OUTPUT_FORMATS = ("csv", "json")
-
-# Positions per int64 chunk when summing a trace's moments (8 MB).
-_MOMENT_CHUNK = 1 << 20
 
 DEFAULT_TABLE1_M0 = (30, 50, 100, 500, 1000)
 DEFAULT_TABLE2_M0 = (30, 50, 100, 200, 500, 1000)
@@ -113,38 +114,18 @@ def sweep_basis(m0: int) -> SieveBasis:
     return build_basis(m0 if m0 % 2 == 1 else m0 - 1)
 
 
-def _moments(values: np.ndarray) -> tuple[float, float]:
-    """Mean and population variance of an integer trace, correctly rounded.
-
-    Exact int64 sums over chunks of _MOMENT_CHUNK positions, so no float
-    copy of the whole trace is ever made.
-    """
-    total = squares = 0
-    for lo in range(0, values.size, _MOMENT_CHUNK):
-        chunk = values[lo : lo + _MOMENT_CHUNK].astype(np.int64)
-        total += int(chunk.sum())
-        squares += int(chunk @ chunk)
-    n = values.size
-    return total / n, float(Fraction(n * squares - total * total, n * n))
-
-
 def _table1_row(args: tuple) -> dict:
     m0, constellation, anchor, conventions = args
-    basis = sweep_basis(m0)
     window = Window.for_capacity(m0, anchor)
-    literal = composite_signal(basis, window, constellation)
-    proper = proper_signal(literal)
-    source = proper if conventions.table1_mean_source == "proper" else literal
-    mean, var = _moments(source.values)
-    inclusive = int(np.count_nonzero(proper.values == 0))
-    strict = certify(literal).count
-    twins = inclusive if conventions.survivor_range == "inclusive" else strict
+    sums = signal_sums(sweep_basis(m0), window, constellation)
+    mean, var = sums.moments(proper=conventions.table1_mean_source == "proper")
+    twins = sums.inclusive if conventions.survivor_range == "inclusive" else sums.strict
     return {
         "m0": m0,
         "window": m0 * m0,
         "twins": twins,
-        "twins_inclusive": inclusive,
-        "twins_strict": strict,
+        "twins_inclusive": sums.inclusive,
+        "twins_strict": sums.strict,
         "mean": mean,
         "var": var,
         "ratio": var / mean,
@@ -187,9 +168,9 @@ def _figure_row(args: tuple) -> dict:
     m0, constellation, anchor = args
     basis = sweep_basis(m0)
     window = Window.for_capacity(m0, anchor)
-    literal = composite_signal(basis, window, constellation)
-    mean, var = _moments(proper_signal(literal).values)
-    count = certify(literal).count
+    sums = signal_sums(basis, window, constellation)
+    mean, var = sums.moments(proper=True)
+    count = sums.strict
     return {
         "m0": m0,
         "L": window.length,

@@ -72,6 +72,49 @@ def test_scan_survivor_file_is_unchanged(tmp_path, capsys, tuple_text, count, sh
     assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
 
+@pytest.mark.parametrize(
+    "argv, name, sha256",
+    [
+        (["table1"], "table1.csv",
+         "ef8dafe10199d5f038cc677e840e975df11bfc901e4e20cc137ac2fcccde867f"),
+        (["table1", "--diagnostic"], "table1.csv",
+         "5f07244c0507374a1d5e9c09bb25aee16b7a8638bcc64927d01b35ba77558d84"),
+        (["table1", "--mean-source", "literal"], "table1.csv",
+         "1a73ddd8e8581e344950976a966ee3fb8f721f02a930a74f2491599db44452b3"),
+        (["table1", "--survivor-range", "strict"], "table1.csv",
+         "655403efbc3c2f8b154922c1b56a93ddfdea75297084d5c8268c49129f1a6d54"),
+        (["table1", "--tuple", "0,2,6"], "table1.csv",
+         "d5641c0cf122d65ec23b4b3e0adc1ed3ec29c7a3017bddd8e3af28cb380c13ff"),
+        (["figures"], "fig1_fano.csv",
+         "587fc189feef4b25de4f5e29fadbe54d918fbeaefa9a2b5f4ecd2af17a487254"),
+        (["figures"], "fig2_counts.csv",
+         "0cd4998a89ebe6aa6ffc095aae50031e4e5b84ead231fb5cb1d6d173a5f6d5dc"),
+        (["figures"], "fig3_cv.csv",
+         "ce613e0d284490b043e35e40e3fad2b54bc251164237134f8d16c668a9c824ad"),
+    ],
+)
+def test_sweep_files_are_unchanged(tmp_path, capsys, argv, name, sha256):
+    # digests of the default-ladder files written when the rows summed
+    # whole-window counts traces
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("command", ["table1", "figures"])
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--tuple", "0,2,4"], "error: constellation tuple_0_2_4 is not admissible"),
+        (["--m0-list", "40000"],
+         f"error: window end 1600000000 exceeds the supported {MAX_WINDOW_END}"),
+    ],
+)
+def test_sweeps_reject_bad_input_before_striding(tmp_path, capsys, command, argv, message):
+    with mock.patch.object(engine, "_stride_blocks", side_effect=AssertionError):
+        assert main([command, *argv, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.strip() == message
+
+
 def test_count_wheel_follows_window_size(capsys):
     chosen = []
     choose = engine._count_wheel

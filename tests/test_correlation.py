@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis.strategies import booleans, floats, integers, lists, sampled_from, sets
 
 from gearsieve import correlation, exact
@@ -123,6 +123,18 @@ def test_tau_numerators_match_fraction_tau(halves, p):
     nums = tau_numerators(constellation, p)
     assert nums.dtype == np.int64
     assert nums.tolist() == [tau(constellation, p, d).tau * p for d in range(p)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    sets(integers(1, 30), max_size=5),
+    sampled_from([int(p) for p in odd_primes_upto(300)]),
+)
+@example({2, 4}, 3)
+def test_tau_table_matches_fraction_tau(offsets, p):
+    # no admissibility filter: a full residue set takes the BLOCKED label
+    constellation = Constellation("random", (0, *sorted(offsets)))
+    assert tau_table(constellation, p) == [tau(constellation, p, d) for d in range(p)]
 
 
 def _dense_split_reference(constellation, primes, positions, p_b):

@@ -3,15 +3,19 @@
 import csv
 import json
 import math
+import tracemalloc
 
 import pytest
 
+from gearsieve.constellations import TWINS
+from gearsieve.engine import Window
 from gearsieve.harness import (
     TABLE1_HEADER,
     TABLE2_HEADER,
     TABLE3_HEADER,
     Conventions,
     RunConfig,
+    _table1_row,
     format_cell,
     run_figures,
     run_table1,
@@ -76,6 +80,20 @@ def test_run_table1_values():
     assert second["twins"] == 70
     assert second["twins_strict"] == 66
     assert abs(second["mean"] - 2.31) < 0.03
+
+
+def test_table1_row_peak_memory_below_a_byte_per_position():
+    # the row streams the signal block by block; whole-window traces and
+    # their moment chunks took about 4 bytes per position
+    window = Window.for_capacity(4001)
+    tracemalloc.start()
+    try:
+        row = _table1_row((4001, TWINS, 7, Conventions()))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert row["twins_strict"] > 0
+    assert peak < window.positions
 
 
 def test_run_table1_strict_convention():

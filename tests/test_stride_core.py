@@ -25,6 +25,8 @@ from gearsieve.engine import (
     first_candidate_above,
     goldbach_count,
     proper_signal,
+    signal_sums,
+    signal_values,
 )
 from gearsieve.errors import InvariantError
 
@@ -301,3 +303,74 @@ def test_survivor_list_peak_memory_below_a_byte_per_position():
         tracemalloc.stop()
     assert result.count == len(result.survivors) > 0
     assert peak < window.positions
+
+
+def _sums_oracle(basis, window, constellation):
+    """The streamed sums, taken from whole-window counts traces."""
+    args = (window.anchor, window.positions, basis.primes, constellation.offsets)
+    literal = signal_values(*args).astype(np.int64)
+    proper = signal_values(*args, count_self_hits=False).astype(np.int64)
+    in_range = window.in_range_positions(constellation.span)
+    return engine.SignalSums(
+        positions=window.positions,
+        literal_sum=int(literal.sum()),
+        literal_squares=int(literal @ literal),
+        proper_sum=int(proper.sum()),
+        proper_squares=int(proper @ proper),
+        strict=int(np.count_nonzero(literal[:in_range] == 0)),
+        inclusive=int(np.count_nonzero(proper == 0)),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    sets(sampled_from(range(2, 27, 2)), max_size=3),
+    integers(min_value=0, max_value=3_000),
+    integers(min_value=1, max_value=60),
+    integers(min_value=0, max_value=10**6),
+    sampled_from(BLOCK_SIZES),
+)
+# anchor 5: the first members are basis primes, so the proper sums differ
+# from the literal ones, and the self-hits straddle block edges
+@example({2}, 0, 20, 10**6, 8)
+@example({2, 6}, 0, 20, 10**6, 16)
+@example({4, 6}, 0, 3, 10**6, 64)
+def test_signal_sums_match_signal_values(offsets, anchor_seed, m0_half, length_seed, block):
+    constellation, basis, window = _window_case(offsets, anchor_seed, m0_half, length_seed)
+    with mock.patch.object(engine, "_BLOCK", block):
+        sums = signal_sums(basis, window, constellation)
+    assert sums == _sums_oracle(basis, window, constellation)
+
+
+def test_signal_sums_take_the_wide_counter():
+    # 16 offsets near 1e8 bound the signal above 255, so the core counts
+    # in uint16 and the squares are summed in uint32
+    constellation = Constellation(
+        "sixteen", (0, 2, 6, 8, 12, 18, 20, 26, 30, 32, 36, 42, 48, 50, 56, 62)
+    )
+    basis, window = build_basis(101), Window(10**8 + 1, 10**8 + 1_001)
+    assert is_admissible(constellation).admissible
+    assert engine._counter_dtype(window.anchor, window.positions, constellation.offsets) == np.uint16
+    want = _sums_oracle(basis, window, constellation)
+    for block in BLOCK_SIZES:
+        with mock.patch.object(engine, "_BLOCK", block):
+            assert signal_sums(basis, window, constellation) == want
+
+
+@pytest.mark.parametrize("count_self_hits", [True, False])
+def test_zero_bits_pack_from_positions_without_a_mask(count_self_hits):
+    basis, window = build_basis(4001), Window.for_capacity(4001)
+    trace = composite_signal(
+        basis, window, TWINS, count_self_hits=count_self_hits, mode="mask"
+    )
+    trace._positions()
+    tracemalloc.start()
+    try:
+        bits = trace.zero_bits
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(bits, np.packbits(trace.zero_mask()))
+    # the bits are an eighth of a byte per position; a whole-window bool
+    # mask would be a byte
+    assert peak < window.positions / 4
