@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import sys
 
 from .constellations import (
@@ -40,6 +39,7 @@ from .harness import (
     RunConfig,
     fit_from_config,
     format_cell,
+    json_text,
     run_figures,
     sweep_basis,
     write_table1,
@@ -93,7 +93,7 @@ def _config_from(args: argparse.Namespace, default_m0: tuple[int, ...]) -> RunCo
 
 
 def _print_json(payload) -> None:
-    print(json.dumps(payload, indent=2))
+    print(json_text(payload))
 
 
 def _cmd_seed(args: argparse.Namespace) -> int:
@@ -310,7 +310,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tuple", default="0,2",
                    help="offset pattern (default: 0,2)")
 
-    p = sub.add_parser("moments", help="count moments and derived ratios")
+    p = sub.add_parser(
+        "moments",
+        help="count moments and derived ratios",
+        description="Count moments and derived ratios, as JSON. A ratio with "
+                    "no finite value (snr or cv of a window with zero "
+                    "variance, for instance) is written as null.",
+    )
     p.add_argument("--m0", type=int, required=True)
     p.add_argument("--tuple", default="0,2",
                    help="offset pattern (default: 0,2)")

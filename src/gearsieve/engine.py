@@ -19,8 +19,11 @@ over those lane rows, one core call, serves both a count, which sums each
 row's unhit entries, and a survivor list, which collects their positions.
 Under the proper-multiples variant the core skips each lane's self-hit,
 and the few positions with a member equal to a wheel prime are checked
-directly. Counts mode strides one lane; `signal_sums` streams those blocks
-into exact sums without keeping a counter per position.
+directly. Counts mode strides one lane, every offset. `signal_sums`
+strides one lane for offset 0 alone: the tuple's offsets are even, so
+S_C(r) is the sum of the offset-0 count at r + h/2 over the offsets h,
+and each block's S is built from shifted views of that one row and summed
+exactly without keeping a counter per position.
 """
 
 from __future__ import annotations
@@ -208,7 +211,7 @@ def _counter_dtype(start: int, count: int, offsets: tuple[int, ...]) -> type:
     return np.uint8 if bound <= 255 else np.uint16
 
 
-def _stride_blocks(start, count, primes, offsets, modulus, lanes, dtype, count_self_hits):
+def _stride_blocks(start, count, primes, offsets, modulus, lanes, dtype, count_self_hits, reach=0):
     """The striding core: every (lane, offset, prime) hit, one block at a time.
 
     Lane c holds the positions r = c + modulus*t, whose members are
@@ -222,12 +225,15 @@ def _stride_blocks(start, count, primes, offsets, modulus, lanes, dtype, count_s
     Yields (t_lo, i, row) for t_lo = 0, _BLOCK, ... and, within each
     block, every lane index i in turn: row[j] covers t = t_lo + j of lane
     lanes[i] and holds its hit count (an integer dtype) or whether it was
-    hit at all (bool). Entries past the last position are garbage. The one
-    row buffer is reused, so consume each row before asking for the next.
+    hit at all (bool). A row holds min(_BLOCK, n_t) + reach entries, so
+    beside its block it also covers the first reach values of t after it,
+    which the next block strides again. Entries past t = n_t - 1 + reach
+    are garbage. The one row buffer is reused, so consume each row before
+    asking for the next.
     """
     ps = np.array([p for p in primes.tolist() if modulus % p != 0], dtype=np.int64)
     n_t = -(-count // modulus)
-    row = np.zeros(min(_BLOCK, n_t), dtype=dtype)
+    row = np.zeros(min(_BLOCK, n_t) + reach, dtype=dtype)
     # Triples run lane by lane, then offset, then prime, so the lane's
     # row stays in cache while every prime strides it.
     inv = np.array([pow(2 * modulus, -1, p) for p in ps.tolist()], dtype=np.int64)
@@ -477,11 +483,16 @@ def signal_sums(
 ) -> SignalSums:
     """Stream S_C over a window once, keeping only exact integer sums.
 
-    One counts-mode core call (one lane, no wheel), consumed block by
-    block, so no array outlives a block. The proper variant differs from
-    the literal one only at the self-hit positions: their literal values
-    are read as their block passes, and the literal sums corrected there.
-    The checks are composite_signal's, made before any striding.
+    An admissible tuple has only even offsets, so N_r + h = N_{r + h/2}
+    and S_C(r) = sum over h of omega(r + h/2), where omega(r) counts the
+    basis primes dividing N_r. One counts-mode core call (offset 0, one
+    lane, no wheel) strides omega once for all k offsets; its rows reach
+    span/2 positions past their block, so each block's S is the sum of k
+    shifted views of one row. No array outlives a block. The proper
+    variant differs from the literal one only at the self-hit positions:
+    their literal values of S are read as their block passes, and the
+    literal sums corrected there. The checks are composite_signal's, made
+    before any striding.
     """
     _check_signal(window, constellation)
     start, count, offsets = window.anchor, window.positions, constellation.offsets
@@ -490,21 +501,30 @@ def signal_sums(
         _self_hit_positions(start, count, basis.primes, offsets), return_counts=True
     )
     at_hits = np.zeros(hits.size, dtype=np.int64)
-    dtype = _counter_dtype(start, count, offsets)
-    # A counter's square fits a type twice its width.
-    wide = np.dtype(f"u{2 * np.dtype(dtype).itemsize}")
+    shifts = [h // 2 for h in offsets]
+    reach = shifts[-1]
+    # S and its square share one buffer: a counter's square fits a type
+    # twice its width.
+    counter = np.dtype(_counter_dtype(start, count, offsets))
+    signal = np.empty(min(_BLOCK, count), dtype=f"u{2 * counter.itemsize}")
+    omega_dtype = _counter_dtype(start, count + reach, (0,))
+    core = _stride_blocks(
+        start, count, basis.primes, (0,), 1, [0], omega_dtype, True, reach=reach
+    )
     total = squares = zeros = strict = 0
-    for t_lo, _, row in _stride_blocks(start, count, basis.primes, offsets, 1, [0], dtype, True):
-        block = row[: count - t_lo]
+    for t_lo, _, row in core:
+        block = signal[: count - t_lo]
+        block[:] = row[: block.size]
+        for shift in shifts[1:]:
+            np.add(block, row[shift : shift + block.size], out=block)
         total += int(block.sum(dtype=np.uint64))
-        square = block.astype(wide)
-        np.multiply(square, square, out=square)
-        squares += int(square.sum(dtype=np.uint64))
         zeros += block.size - int(np.count_nonzero(block))
         head = block[: max(in_range - t_lo, 0)]
         strict += head.size - int(np.count_nonzero(head))
         inside = (hits >= t_lo) & (hits < t_lo + block.size)
         at_hits[inside] = block[hits[inside] - t_lo]
+        np.multiply(block, block, out=block)
+        squares += int(block.sum(dtype=np.uint64))
     proper = at_hits - drops
     return SignalSums(
         positions=count,

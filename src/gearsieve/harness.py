@@ -114,6 +114,16 @@ def sweep_basis(m0: int) -> SieveBasis:
     return build_basis(m0 if m0 % 2 == 1 else m0 - 1)
 
 
+def _ratio(var: float, mean: float, m0: int, window: Window) -> float:
+    """Var S / mean S for a row; a window whose mean signal is 0 has none."""
+    if mean == 0:
+        raise ValueError(
+            f"m0 {m0}: the mean signal over the window [{window.anchor}, {window.end}) "
+            "is 0, so Var/mean is undefined"
+        )
+    return var / mean
+
+
 def _table1_row(args: tuple) -> dict:
     m0, constellation, anchor, conventions = args
     window = Window.for_capacity(m0, anchor)
@@ -128,7 +138,7 @@ def _table1_row(args: tuple) -> dict:
         "twins_strict": sums.strict,
         "mean": mean,
         "var": var,
-        "ratio": var / mean,
+        "ratio": _ratio(var, mean, m0, window),
     }
 
 
@@ -174,7 +184,7 @@ def _figure_row(args: tuple) -> dict:
     return {
         "m0": m0,
         "L": window.length,
-        "fano_observed": var / mean,
+        "fano_observed": _ratio(var, mean, m0, window),
         "fano_theoretical": fano_theoretical(basis.m0),
         "count_observed": count,
         "count_theory": mean_field(constellation, basis.m0, window.positions),
@@ -253,10 +263,33 @@ def write_csv(path: Path, header: tuple[str, ...], rows: list[dict]) -> None:
             fh.write(",".join(format_cell(row[name]) for name in header) + "\n")
 
 
+def _finite(payload):
+    """payload with every non-finite float replaced by None (JSON null)."""
+    if isinstance(payload, float):
+        return payload if math.isfinite(payload) else None
+    if isinstance(payload, dict):
+        return {key: _finite(value) for key, value in payload.items()}
+    if isinstance(payload, (list, tuple)):
+        return [_finite(value) for value in payload]
+    return payload
+
+
+def json_text(payload) -> str:
+    """payload as indented JSON, each inf or nan written as null.
+
+    JSON has neither, and allow_nan=False refuses to write `Infinity`.
+    Only a payload the encoder refuses is walked: most hold no float, and
+    the walk would cost a CLI query several microseconds.
+    """
+    try:
+        return json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError:
+        return json.dumps(_finite(payload), indent=2, allow_nan=False)
+
+
 def write_json(path: Path, payload) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(json_text(payload) + "\n")
 
 
 def _emit(cfg: RunConfig, name: str, header: tuple[str, ...],
@@ -301,10 +334,17 @@ def run_figures(cfg: RunConfig) -> list[Path]:
     """Emit the three figure data series as CSV files.
 
     fig3's reference column is C * L^(-1/2) with C pinned so the reference
-    meets the observed coefficient of variation at the first m0.
+    meets the observed coefficient of variation at the first m0, which
+    needs a positive count there. Every check runs before any file is
+    written.
     """
     args = [(m0, cfg.constellation, cfg.anchor) for m0 in cfg.m0_list]
     rows = _sweep(_figure_row, args, cfg.workers)
+    if rows[0]["count_observed"] == 0:
+        raise ValueError(
+            f"fig3 pins its reference at the first m0 ({rows[0]['m0']}), "
+            "which needs a positive count there, got 0"
+        )
     scale = rows[0]["cv_observed"] * math.sqrt(rows[0]["L"])
     for row in rows:
         row["reference"] = scale / math.sqrt(row["L"])

@@ -3,12 +3,13 @@
 import argparse
 import hashlib
 import json
+import math
 import time
 from unittest import mock
 
 import pytest
 
-from gearsieve import cli, correlation, engine, fourier
+from gearsieve import cli, correlation, engine, fourier, harness
 from gearsieve.cli import main
 from gearsieve.engine import MAX_FOURIER_PMAX, MAX_TAU_P, MAX_WINDOW_END
 
@@ -155,6 +156,47 @@ def test_moments_command(capsys):
     assert payload["m0"] == 100
     assert payload["mu_N"] == 197.0
     assert abs(payload["sigma_diag"] - 189.2) < 0.1
+
+
+def _reject_constant(name):
+    raise AssertionError(f"{name} is not valid JSON")
+
+
+def test_moments_writes_non_finite_values_as_null(capsys):
+    # one position, and 79 is prime: the variance is 0, so snr has no
+    # finite value and fano none either
+    assert main(["moments", "--m0", "9", "--anchor", "79", "--tuple", "0"]) == 0
+    payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert payload["snr"] is None
+    assert payload["variance"] == 0.0
+
+
+def test_json_files_write_non_finite_values_as_null(tmp_path):
+    path = tmp_path / "out.json"
+    harness.write_json(path, {"a": [math.inf, 1.5, (math.nan, 2)], "b": -math.inf})
+    payload = json.loads(path.read_text(), parse_constant=_reject_constant)
+    assert payload == {"a": [None, 1.5, [None, 2]], "b": None}
+
+
+@pytest.mark.parametrize("command", ["table1", "figures"])
+def test_sweeps_reject_a_window_with_zero_mean_signal(tmp_path, capsys, command):
+    # one position, and 79 is prime: Var/mean would divide by zero
+    argv = [command, "--m0-list", "9", "--anchor", "79", "--tuple", "0", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.strip() == (
+        "error: m0 9: the mean signal over the window [79, 81) is 0, so Var/mean is undefined"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_figures_reject_a_zero_count_at_the_first_m0(tmp_path, capsys):
+    # m0 = 7 counts no pair below in_range, so fig3's C would be inf and
+    # every reference cell inf, although m0 = 9 counts 2
+    argv = ["figures", "--m0-list", "7,9", "--anchor", "47", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "first m0 (7)" in err and "positive count" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_equidist_command(capsys):

@@ -335,6 +335,17 @@ def _sums_oracle(basis, window, constellation):
 @example({2}, 0, 20, 10**6, 8)
 @example({2, 6}, 0, 20, 10**6, 16)
 @example({4, 6}, 0, 3, 10**6, 64)
+# the member 17 + 6 = 23 of r = 6 is read from entry 9 of an 8-entry
+# block's omega row, inside its reach
+@example({2, 6}, 0, 20, 10**6, 8)
+# reach 13 is longer than a block of 8; the self-hit 15 + 26 = 41 of
+# r = 5 is read from entry 18 of the first row
+@example({2, 26}, 0, 20, 10**6, 8)
+# 19 positions: the last row holds 3 of them, and the window ends inside
+# its reach
+@example({2, 26}, 0, 20, 36, 8)
+# 3 positions, fewer than the reach: the only row is 3 + 13 entries
+@example({2, 26}, 0, 20, 4, 8)
 def test_signal_sums_match_signal_values(offsets, anchor_seed, m0_half, length_seed, block):
     constellation, basis, window = _window_case(offsets, anchor_seed, m0_half, length_seed)
     with mock.patch.object(engine, "_BLOCK", block):
@@ -355,6 +366,27 @@ def test_signal_sums_take_the_wide_counter():
     for block in BLOCK_SIZES:
         with mock.patch.object(engine, "_BLOCK", block):
             assert signal_sums(basis, window, constellation) == want
+
+
+@pytest.mark.parametrize(
+    "offsets",
+    [(0, 2), (0, 2, 6), (0, 2, 6, 8, 12, 18, 20, 26, 30, 32, 36, 42, 48, 50, 56, 62)],
+)
+def test_signal_sums_make_one_omega_stride(offsets):
+    # every offset reads the one offset-0 row, shifted by h/2
+    calls = []
+    stride = engine._stride_blocks
+
+    def spy(*args, **kwargs):
+        calls.append((args[3], kwargs.get("reach")))
+        return stride(*args, **kwargs)
+
+    constellation = Constellation("drawn", offsets)
+    basis, window = build_basis(101), Window(5, 101 * 101)
+    with mock.patch.object(engine, "_stride_blocks", spy):
+        sums = signal_sums(basis, window, constellation)
+    assert calls == [((0,), offsets[-1] // 2)]
+    assert sums == _sums_oracle(basis, window, constellation)
 
 
 @pytest.mark.parametrize("count_self_hits", [True, False])
