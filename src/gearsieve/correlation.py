@@ -95,8 +95,9 @@ class AsymptoticReport:
 def _require_prime(p: int) -> None:
     if p > MAX_TAU_P:
         raise ValueError(f"tau supports primes up to {MAX_TAU_P}, got {p}")
-    if not is_prime_trial(p):
-        raise ValueError(f"tau needs a prime modulus, got {p}")
+    # Every N_r + h is odd, so 2 never strikes a member.
+    if p == 2 or not is_prime_trial(p):
+        raise ValueError(f"tau needs an odd prime modulus, got {p}")
 
 
 def tau(constellation: Constellation, p: int, d: int) -> LocalSurvival:

@@ -19,17 +19,17 @@ over those lane rows, one core call, serves both a count, which sums each
 row's unhit entries, and a survivor list, which collects their positions.
 Under the proper-multiples variant the core skips each lane's self-hit,
 and the few positions with a member equal to a wheel prime are checked
-directly. Counts mode strides one lane, every offset. `signal_sums`
-strides one lane for offset 0 alone: the tuple's offsets are even, so
-S_C(r) is the sum of the offset-0 count at r + h/2 over the offsets h,
-and each block's S is built from shifted views of that one row and summed
-exactly without keeping a counter per position.
+directly. Counts mode strides one lane for offset 0 alone: the offsets
+are even, so S_C(r) is the sum of omega, the count of basis primes
+dividing one member, at r + h/2 over the offsets h. Each block's S is
+built from shifted views of that one omega row; `signal_values` keeps
+it per position, and `signal_sums` sums it exactly and keeps nothing.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -283,11 +283,34 @@ def _self_hit_positions(
     return twice[keep] // 2
 
 
-def _drop_self_hits(
-    values: np.ndarray, start: int, primes: np.ndarray, offsets: tuple[int, ...]
-) -> None:
-    """Turn literal counts into proper-multiple counts, in place."""
-    np.subtract.at(values, _self_hit_positions(start, values.size, primes, offsets), 1)
+def _signal_blocks(start, count, primes, offsets):
+    """The literal S_C over positions r < count, one block at a time.
+
+    Member start + 2r + h is N_{r + (h - low)/2} for the scan that starts
+    at start + low, low the smallest offset, so one counts-mode core call
+    with offset 0 strides omega for every offset at once. Its rows reach
+    (max h - low)/2 positions past their block, and each block's S is the
+    sum of shifted views of one row. Yields (t_lo, block) with block[j] =
+    S_C(t_lo + j), in one reused buffer twice the counter's width, so its
+    square fits too; consume each block before asking for the next.
+    """
+    if any(h % 2 for h in offsets):
+        raise ValueError(f"the signal needs even offsets, got {offsets}")
+    low = min(offsets)
+    shifts = [(h - low) // 2 for h in offsets]
+    reach = max(shifts)
+    counter = np.dtype(_counter_dtype(start, count, offsets))
+    signal = np.empty(min(_BLOCK, count), dtype=f"u{2 * counter.itemsize}")
+    omega_dtype = _counter_dtype(start + low, count + reach, (0,))
+    core = _stride_blocks(
+        start + low, count, primes, (0,), 1, [0], omega_dtype, True, reach=reach
+    )
+    for t_lo, _, row in core:
+        block = signal[: count - t_lo]
+        block[:] = row[shifts[0] : shifts[0] + block.size]
+        for shift in shifts[1:]:
+            np.add(block, row[shift : shift + block.size], out=block)
+        yield t_lo, block
 
 
 def signal_values(
@@ -300,9 +323,10 @@ def signal_values(
     """Raw per-position hit counts over positions start + 2r, r < count.
 
     No window or candidate validation; this is the striding core's counts
-    mode (one lane, no wheel), exposed for residue-averaging checks that
-    scan arbitrary (even even) starts. count is capped at the positions of
-    the largest supported window, MAX_WINDOW_END // 2.
+    mode (one omega lane, no wheel), exposed for residue-averaging checks
+    that scan arbitrary (even even) starts. The offsets must be even, as
+    an admissible tuple's are. count is capped at the positions of the
+    largest supported window, MAX_WINDOW_END // 2.
     """
     if count < 0:
         raise ValueError(f"position count must be >= 0, got {count}")
@@ -311,12 +335,10 @@ def signal_values(
             f"position count {count} exceeds the supported {MAX_WINDOW_END // 2}"
         )
     values = np.empty(count, dtype=_counter_dtype(start, count, offsets))
-    core = _stride_blocks(start, count, primes, offsets, 1, [0], values.dtype, True)
-    for t_lo, _, row in core:
-        width = min(row.size, count - t_lo)
-        values[t_lo : t_lo + width] = row[:width]
+    for t_lo, block in _signal_blocks(start, count, primes, offsets):
+        values[t_lo : t_lo + block.size] = block
     if not count_self_hits:
-        _drop_self_hits(values, start, primes, offsets)
+        np.subtract.at(values, _self_hit_positions(start, count, primes, offsets), 1)
     return values
 
 
@@ -437,20 +459,6 @@ def composite_signal(
     return trace
 
 
-def proper_signal(literal: SignalTrace) -> SignalTrace:
-    """The proper-multiples counts trace, derived from a literal one.
-
-    The two differ only at the self-hit positions, at most one per
-    (basis prime, offset), so this costs no second striding pass.
-    """
-    if literal.values is None or not literal.count_self_hits:
-        raise ValueError("proper_signal expects a literal counts-mode trace")
-    values = literal.values.copy()
-    window, offsets = literal.window, literal.constellation.offsets
-    _drop_self_hits(values, window.anchor, literal.basis.primes, offsets)
-    return replace(literal, count_self_hits=False, values=values)
-
-
 @dataclass(frozen=True)
 class SignalSums:
     """Exact integer sums of S_C over every position of a window.
@@ -483,16 +491,11 @@ def signal_sums(
 ) -> SignalSums:
     """Stream S_C over a window once, keeping only exact integer sums.
 
-    An admissible tuple has only even offsets, so N_r + h = N_{r + h/2}
-    and S_C(r) = sum over h of omega(r + h/2), where omega(r) counts the
-    basis primes dividing N_r. One counts-mode core call (offset 0, one
-    lane, no wheel) strides omega once for all k offsets; its rows reach
-    span/2 positions past their block, so each block's S is the sum of k
-    shifted views of one row. No array outlives a block. The proper
-    variant differs from the literal one only at the self-hit positions:
-    their literal values of S are read as their block passes, and the
-    literal sums corrected there. The checks are composite_signal's, made
-    before any striding.
+    The blocks are `_signal_blocks`' one omega stride, and no array
+    outlives a block. The proper variant differs from the literal one only
+    at the self-hit positions: their literal values of S are read as their
+    block passes, and the literal sums corrected there. The checks are
+    composite_signal's, made before any striding.
     """
     _check_signal(window, constellation)
     start, count, offsets = window.anchor, window.positions, constellation.offsets
@@ -501,22 +504,8 @@ def signal_sums(
         _self_hit_positions(start, count, basis.primes, offsets), return_counts=True
     )
     at_hits = np.zeros(hits.size, dtype=np.int64)
-    shifts = [h // 2 for h in offsets]
-    reach = shifts[-1]
-    # S and its square share one buffer: a counter's square fits a type
-    # twice its width.
-    counter = np.dtype(_counter_dtype(start, count, offsets))
-    signal = np.empty(min(_BLOCK, count), dtype=f"u{2 * counter.itemsize}")
-    omega_dtype = _counter_dtype(start, count + reach, (0,))
-    core = _stride_blocks(
-        start, count, basis.primes, (0,), 1, [0], omega_dtype, True, reach=reach
-    )
     total = squares = zeros = strict = 0
-    for t_lo, _, row in core:
-        block = signal[: count - t_lo]
-        block[:] = row[: block.size]
-        for shift in shifts[1:]:
-            np.add(block, row[shift : shift + block.size], out=block)
+    for t_lo, block in _signal_blocks(start, count, basis.primes, offsets):
         total += int(block.sum(dtype=np.uint64))
         zeros += block.size - int(np.count_nonzero(block))
         head = block[: max(in_range - t_lo, 0)]

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constellations import TWINS
-from .correlation import sparse_factors, sparse_products, tau_numerators
+from .correlation import _SUM_CHUNK, sparse_factors, sparse_products, tau_numerators
 from .engine import MAX_WINDOW_END
 from .errors import InvariantError
-from .primes import odd_primes_upto
+from .primes import is_prime_trial, odd_primes_upto
 
 
 @dataclass(frozen=True)
@@ -217,13 +217,18 @@ def weighted_exp_sum(theta: float, big_l: int) -> complex:
 
     For non-integer theta the geometric tail bound |W| <= L / (2 ||theta||)
     is checked on the way out (||.|| is distance to the nearest integer).
+    L is capped at MAX_WINDOW_END, and the terms are summed in chunks, so
+    memory stays bounded by the chunk size.
     """
     if big_l < 3:
         raise ValueError(f"weighted exponential sum needs L >= 3, got {big_l}")
+    if big_l > MAX_WINDOW_END:
+        raise ValueError(f"weighted exponential sum supports L <= {MAX_WINDOW_END}, got {big_l}")
     n = big_l // 3
-    d = np.arange(1, n + 1, dtype=np.float64)
-    phases = np.exp(2j * math.pi * d * theta)
-    value = complex(np.sum((big_l - 3.0 * d) * phases))
+    value = 0j
+    for lo in range(1, n + 1, _SUM_CHUNK):
+        d = np.arange(lo, min(lo + _SUM_CHUNK, n + 1), dtype=np.float64)
+        value += complex(np.sum((big_l - 3.0 * d) * np.exp(2j * math.pi * d * theta)))
     dist = abs(theta - round(theta))
     if dist > 0:
         bound = big_l / (2.0 * dist)
@@ -245,6 +250,8 @@ def two_prime_checks(p: int, q: int) -> TwoPrimeReport:
         raise ValueError(f"need primes p < q, got ({p}, {q})")
     if p * q > 10**7:
         raise ValueError(f"product {p * q} too large")
+    if not (is_prime_trial(p) and is_prime_trial(q)):
+        raise ValueError(f"need primes p < q, got ({p}, {q})")
     pq = p * q
     j = np.arange(1, p, dtype=np.int64)
     k = np.arange(1, q, dtype=np.int64)

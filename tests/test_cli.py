@@ -345,6 +345,7 @@ def test_invalid_configuration_exit_code(capsys):
     assert main(["scan", "--m0", "101", "--segments", "0"]) == 2
     assert main(["tau", "--p", "9"]) == 2
     assert main(["tau", "--p", "4"]) == 2
+    assert main(["tau", "--p", "2"]) == 2
     capsys.readouterr()
 
 

@@ -101,8 +101,9 @@ def test_tau_rejects_prime_past_cap(monkeypatch):
                 call()
 
 
-def test_tau_rejects_composite_modulus():
-    for p in (0, 1, 4, 9, 15):
+def test_tau_rejects_two_and_composite_moduli():
+    # every N_r + h is odd, so 2 never strikes; tau at 2 used to return 1/2
+    for p in (0, 1, 2, 4, 9, 15):
         with pytest.raises(ValueError):
             tau(TWINS, p, 1)
         with pytest.raises(ValueError):
@@ -198,6 +199,15 @@ def test_crt_average_factorizes():
 def test_crt_average_rejects_huge_period():
     with pytest.raises(ValueError):
         crt_average(TWINS, (101, 103, 107, 109))
+
+
+def test_averages_reject_two():
+    # universal_average(TWINS, 2) used to return 2, and crt_average over
+    # (2, 3) 1/18 instead of the product of mu_p^2
+    with pytest.raises(ValueError, match="odd prime"):
+        universal_average(TWINS, 2)
+    with pytest.raises(ValueError, match="odd prime"):
+        crt_average(TWINS, (2, 3))
 
 
 def test_crt_average_rejects_repeated_primes():

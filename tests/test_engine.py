@@ -18,7 +18,6 @@ from gearsieve.engine import (
     composite_signal,
     first_candidate_above,
     goldbach_count,
-    proper_signal,
     signal_values,
     torus_average,
 )
@@ -218,16 +217,11 @@ def test_mask_mode_agrees_with_counts_mode():
 def test_proper_signal_matches_direct_proper_pass():
     basis = build_basis(29)
     window = Window(5, 900)
-    literal = composite_signal(basis, window, TWINS)
-    derived = proper_signal(literal)
     direct = composite_signal(basis, window, TWINS, count_self_hits=False)
-    assert not derived.count_self_hits
-    assert np.array_equal(derived.values, direct.values)
-    assert int(np.count_nonzero(derived.values == 0)) == 34  # (5, 7) joins the 33
-    with pytest.raises(ValueError):
-        proper_signal(direct)
-    with pytest.raises(ValueError):
-        proper_signal(composite_signal(basis, window, TWINS, mode="mask"))
+    assert not direct.count_self_hits
+    want = _brute_signal(5, window.positions, basis.primes.tolist(), TWINS.offsets, False)
+    assert direct.values.tolist() == want
+    assert int(np.count_nonzero(direct.values == 0)) == 34  # (5, 7) joins the 33
 
 
 def test_composite_signal_validation():

@@ -236,6 +236,26 @@ def test_weighted_exp_sum_validation():
         weighted_exp_sum(0.25, 2)
 
 
+def test_weighted_exp_sum_rejects_l_past_cap(monkeypatch):
+    # rejected before any allocation: L = 1e9 used to build three arrays
+    # of L/3 entries, about 13 GB
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the L cap was not checked first")
+
+    monkeypatch.setattr(fourier.np, "arange", unreachable)
+    with pytest.raises(ValueError, match=str(MAX_WINDOW_END)):
+        weighted_exp_sum(0.1, MAX_WINDOW_END + 1)
+
+
+def test_weighted_exp_sum_chunks_agree(monkeypatch):
+    # L = 3001 has 1000 terms: chunks of 64 leave a short last chunk
+    whole = [weighted_exp_sum(theta, 3001) for theta in (0.0, 0.1, 0.37)]
+    monkeypatch.setattr(fourier, "_SUM_CHUNK", 64)
+    chunked = [weighted_exp_sum(theta, 3001) for theta in (0.0, 0.1, 0.37)]
+    assert chunked == pytest.approx(whole, rel=1e-12, abs=1e-9)
+    assert chunked[0] == 3001 * 1000 - 3 * 500_500  # sum of 3001 - 3d over d = 1..1000
+
+
 def test_two_prime_checks_values():
     report = two_prime_checks(3, 5)
     assert report.injective
@@ -252,5 +272,9 @@ def test_two_prime_checks_exhaustive_injectivity():
 def test_two_prime_checks_validation():
     with pytest.raises(ValueError):
         two_prime_checks(5, 3)
+    # composite moduli used to divide by zero and raise InvariantError
+    for p, q in ((4, 6), (3, 9), (9, 11)):
+        with pytest.raises(ValueError, match="primes"):
+            two_prime_checks(p, q)
     with pytest.raises(ValueError):
         two_prime_checks(3163, 3167)  # product exceeds the enumeration cap

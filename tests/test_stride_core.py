@@ -24,7 +24,6 @@ from gearsieve.engine import (
     composite_signal,
     first_candidate_above,
     goldbach_count,
-    proper_signal,
     signal_sums,
     signal_values,
 )
@@ -50,10 +49,11 @@ PRIME_FLAGS = _prime_flags(GOLDBACH_LIMIT)
 
 
 def _brute_values(anchor, count, primes, offsets, count_self_hits):
+    # without self-hits, a member equal to +p or -p is not struck by p
     n = anchor + 2 * np.arange(count)[:, None] + np.array(offsets)
     values = np.zeros(count, dtype=np.int64)
     for p in primes.tolist():
-        values += ((n % p == 0) & (count_self_hits | (n != p))).sum(axis=1)
+        values += ((n % p == 0) & (count_self_hits | (np.abs(n) != p))).sum(axis=1)
     return values
 
 
@@ -131,11 +131,6 @@ def test_signal_matches_brute_force_and_modes_agree(
     # off-lane ones directly; this pins both to the whole-window truth
     assert np.array_equal(mask_zeros, counts.values == 0)
     assert survivors == certify(counts, survivors=True)
-    if count_self_hits:
-        derived = proper_signal(counts).values
-        assert derived.tolist() == _brute_values(
-            window.anchor, window.positions, basis.primes, constellation.offsets, False
-        ).tolist()
 
 
 @settings(max_examples=100, deadline=None)
@@ -306,10 +301,10 @@ def test_survivor_list_peak_memory_below_a_byte_per_position():
 
 
 def _sums_oracle(basis, window, constellation):
-    """The streamed sums, taken from whole-window counts traces."""
+    """The streamed sums, taken from whole-window brute-force signals."""
     args = (window.anchor, window.positions, basis.primes, constellation.offsets)
-    literal = signal_values(*args).astype(np.int64)
-    proper = signal_values(*args, count_self_hits=False).astype(np.int64)
+    literal = _brute_values(*args, True)
+    proper = _brute_values(*args, False)
     in_range = window.in_range_positions(constellation.span)
     return engine.SignalSums(
         positions=window.positions,
@@ -346,7 +341,7 @@ def _sums_oracle(basis, window, constellation):
 @example({2, 26}, 0, 20, 36, 8)
 # 3 positions, fewer than the reach: the only row is 3 + 13 entries
 @example({2, 26}, 0, 20, 4, 8)
-def test_signal_sums_match_signal_values(offsets, anchor_seed, m0_half, length_seed, block):
+def test_signal_sums_match_brute_force(offsets, anchor_seed, m0_half, length_seed, block):
     constellation, basis, window = _window_case(offsets, anchor_seed, m0_half, length_seed)
     with mock.patch.object(engine, "_BLOCK", block):
         sums = signal_sums(basis, window, constellation)
@@ -373,7 +368,8 @@ def test_signal_sums_take_the_wide_counter():
     [(0, 2), (0, 2, 6), (0, 2, 6, 8, 12, 18, 20, 26, 30, 32, 36, 42, 48, 50, 56, 62)],
 )
 def test_signal_sums_make_one_omega_stride(offsets):
-    # every offset reads the one offset-0 row, shifted by h/2
+    # every offset reads the one offset-0 row, shifted by h/2, and every
+    # counts-mode entry point makes that one core call
     calls = []
     stride = engine._stride_blocks
 
@@ -383,10 +379,56 @@ def test_signal_sums_make_one_omega_stride(offsets):
 
     constellation = Constellation("drawn", offsets)
     basis, window = build_basis(101), Window(5, 101 * 101)
+    args = (window.anchor, window.positions, basis.primes, offsets)
+    one_stride = [((0,), offsets[-1] // 2)]
     with mock.patch.object(engine, "_stride_blocks", spy):
         sums = signal_sums(basis, window, constellation)
-    assert calls == [((0,), offsets[-1] // 2)]
+        assert calls == one_stride
+        calls.clear()
+        values = signal_values(*args, count_self_hits=False)
+        assert calls == one_stride
+        calls.clear()
+        trace = composite_signal(basis, window, constellation)
+        assert calls == one_stride
     assert sums == _sums_oracle(basis, window, constellation)
+    assert values.tolist() == _brute_values(*args, False).tolist()
+    assert trace.values.tolist() == _brute_values(*args, True).tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    sets(sampled_from(range(-60, 61, 2)), max_size=3),
+    integers(min_value=-200, max_value=2_000),
+    integers(min_value=1, max_value=40),
+    integers(min_value=0, max_value=600),
+    booleans(),
+    sampled_from(BLOCK_SIZES),
+)
+# Goldbach's shape (0, -E): members from 1 - E up, some equal to -p
+@example({-100}, 1, 10, 60, True, 8)
+@example({-100}, 1, 10, 60, False, 8)
+# the omega row starts at 1 - 60 and reaches 30 past each block of 8
+@example({-60, 2}, 1, 5, 40, False, 8)
+def test_signal_values_take_negative_even_offsets(
+    offsets, start, m0_half, count, count_self_hits, block
+):
+    # the omega stride starts at the smallest member, so any even offsets
+    # and any start, even or odd, give the brute-force signal
+    offsets = (0, *sorted(offsets - {0}))
+    primes = build_basis(2 * m0_half + 1).primes
+    with mock.patch.object(engine, "_BLOCK", block):
+        got = signal_values(start, count, primes, offsets, count_self_hits)
+    want = _brute_values(start, count, primes, offsets, count_self_hits)
+    assert got.tolist() == want.tolist()
+
+
+def test_signal_values_reject_odd_offsets():
+    # an odd offset is no shift of the omega row; no admissible tuple has one
+    primes = build_basis(31).primes
+    with mock.patch.object(engine, "_stride_blocks", side_effect=AssertionError):
+        for offsets in ((0, 1), (0, 2, 5), (0, -3)):
+            with pytest.raises(ValueError, match="even"):
+                signal_values(7, 100, primes, offsets)
 
 
 @pytest.mark.parametrize("count_self_hits", [True, False])
