@@ -49,6 +49,8 @@ from .harness import (
 from .primes import odd_primes_upto
 
 _NAMED_TUPLES = {(0, 2): TWINS, (0, 4): COUSINS, (0, 6): SEXY}
+# Survivor starts per write, so the text of the whole list is never held.
+_SURVIVOR_CHUNK = 1 << 16
 
 
 def _parse_offsets(text: str) -> Constellation:
@@ -135,8 +137,9 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     result = certify(trace, survivors=args.survivors is not None)
     if args.survivors is not None:
         with open(args.survivors, "w", encoding="utf-8") as fh:
-            for start in result.survivors:
-                fh.write(f"{start}\n")
+            for lo in range(0, result.count, _SURVIVOR_CHUNK):
+                chunk = result.survivors[lo : lo + _SURVIVOR_CHUNK]
+                fh.write("\n".join(map(str, chunk.tolist())) + "\n")
     _print_json(
         {
             "m0": args.m0,
@@ -207,7 +210,7 @@ def _cmd_goldbach(args: argparse.Namespace) -> int:
     result = goldbach_count(args.even, survivors=args.survivors)
     payload = {"even": args.even, "count": result.count}
     if args.survivors:
-        payload["survivors"] = list(result.survivors)
+        payload["survivors"] = result.survivors.tolist()
     _print_json(payload)
     return 0
 

@@ -151,42 +151,6 @@ def _table_base(nums: np.ndarray) -> tuple[int, np.ndarray]:
     return base, np.flatnonzero(nums != base)
 
 
-def sparse_factors(tables) -> tuple[float, list[tuple[int, list[int], list[float]]]]:
-    """Split a product of periodic tables into a constant and sparse corrections.
-
-    tables holds (p, nums), int64 nums[r] = p * (factor at residue r mod p).
-    Each table's base is its most common nonzero value; the product equals
-    prod base / p times, for each p, nums[r] / base at the residues r where
-    nums[r] != base. A tau table of a k-tuple leaves p - 2|F| at all but at
-    most k(k-1) + 1 residues, so past the smallest primes the corrections
-    are few. Returns that constant and (p, residues, factors) per table;
-    sparse_products multiplies them in.
-    """
-    ps, bases, corrections = [], [], []
-    for p, nums in tables:
-        base, residues = _table_base(nums)
-        ps.append(p)
-        bases.append(base)
-        corrections.append((p, residues.tolist(), (nums[residues] / base).tolist()))
-    # int / int rounds once, so the constant is the correctly rounded product.
-    return math.prod(bases) / math.prod(ps), corrections
-
-
-def sparse_products(const: float, corrections, lo: int, hi: int):
-    """Yield (start, acc) over [lo, hi) in chunks of at most _SUM_CHUNK entries.
-
-    acc[i] is const times each table's correction at residue
-    (start + i) mod p, applied in table order, so no value depends on the
-    chunking, and neither does an exact_float_sum over every chunk.
-    """
-    for start in range(lo, hi, _SUM_CHUNK):
-        acc = np.full(min(_SUM_CHUNK, hi - start), const)
-        for p, residues, factors in corrections:
-            for r, f in zip(residues, factors):
-                acc[(r - start) % p :: p] *= f
-        yield start, acc
-
-
 def universal_average(constellation: Constellation, p: int) -> Fraction:
     """(1/p) * sum_d tau_p(d) / mu_p^2 over a full period; always 1.
 
@@ -298,10 +262,11 @@ def _weighted_table_sum(tables, positions: int, stride: int) -> int:
     below R * prod p, so W < R^2 * prod p, and W is summed modulo enough
     primes below 2^31 for their product to exceed that bound, in int64,
     then rebuilt by CRT. Each product starts at the constant prod of the
-    tables' bases (sparse_factors' split); a prime whose table is mostly
-    off its base takes one gather instead, the others a strided slice per
-    correction residue scaled by the modular inverse of the base. Blocks
-    of moduli keep the work array near _KERNEL_ENTRIES entries.
+    tables' bases (weighted_float_sum's split); a prime whose table is
+    mostly off its base takes one gather instead, the others a strided
+    slice per correction residue scaled by the modular inverse of the
+    base. Blocks of moduli keep the work array near _KERNEL_ENTRIES
+    entries.
     """
     # Imported on first use: no query command needs the exact sums.
     from .exact import MODULUS_CAP, crt_moduli, crt_rebuild, modular_inverses
@@ -375,6 +340,46 @@ def _sigma_off_direct_exact(
     return Fraction(weighted * big_q - big_m * big_m * total_weight, big_q * big_q)
 
 
+def weighted_float_sum(tables, positions: int, stride: int, divisor: int, shift: float) -> float:
+    """sum_{j=1}^{J} (R - s j) * (prod_p table_p[j mod p] / divisor - shift), in float64.
+
+    The float twin of _weighted_table_sum, with its R, s, J and tables.
+    Each table's base is its most common nonzero value; the product is
+    prod base / p times, for each p, table_p[t] / base at the residues t
+    where table_p[t] != base. A tau table of a k-tuple leaves p - 2|F| at
+    all but at most k(k-1) + 1 residues, so past the smallest primes the
+    corrections are few, and they run as strided slices over j. The terms
+    are built in chunks of _SUM_CHUNK entries, correcting in table order,
+    and every chunk meets in one exact_float_sum: the result is math.fsum
+    over all the terms, whatever the chunk size.
+    """
+    from .exact import exact_float_sum
+
+    ps, bases, corrections = [], [], []
+    for p, nums in tables:
+        base, residues = _table_base(nums)
+        ps.append(p)
+        bases.append(base)
+        corrections.append((p, residues.tolist(), (nums[residues] / base).tolist()))
+    # int / int rounds once, so the constant is the correctly rounded product.
+    const = math.prod(bases) / math.prod(ps) / divisor
+    r, s = positions, stride
+    hi = (r - 1) // s + 1
+
+    def terms():
+        for j in range(1, hi, _SUM_CHUNK):
+            acc = np.full(min(_SUM_CHUNK, hi - j), const)
+            for p, residues, factors in corrections:
+                for t, f in zip(residues, factors):
+                    acc[(t - j) % p :: p] *= f
+            # In place: the weights R - s j are integers below 2^53, so exact.
+            acc -= shift
+            acc *= np.arange(r - s * j, r - s * (j + acc.size), -s, dtype=np.float64)
+            yield acc
+
+    return exact_float_sum(terms())
+
+
 def _sigma_off_split_float(
     constellation: Constellation, tables, positions: int, p_b: int
 ) -> float:
@@ -383,11 +388,8 @@ def _sigma_off_split_float(
     tables are the basis primes' _tables_at_multiples of p_b. Distances
     not divisible by the blocking prime p_b contribute exactly -mu^2 each
     (tau_{p_b} vanishes there); the multiples d = p_b * j keep the product
-    over the other primes times 1/p_b. Tables read at j mod p let the
-    sparse corrections run as strided slices over j, in chunks.
+    over the other primes times 1/p_b, summed by weighted_float_sum.
     """
-    from .exact import exact_float_sum
-
     r = positions
     dmax = (r - 1) // p_b
     mu = 1.0
@@ -395,11 +397,8 @@ def _sigma_off_split_float(
         mu *= (p - omega(constellation, p)) / p
     on_weight = dmax * r - p_b * dmax * (dmax + 1) // 2
     off_weight = r * (r - 1) // 2 - on_weight
-    const, corrections = sparse_factors([(p, t) for p, t in tables if p != p_b])
-    surviving = exact_float_sum(
-        (r - p_b * np.arange(j, j + acc.size)).astype(np.float64) * (acc - mu * mu)
-        for j, acc in sparse_products(const / p_b, corrections, 1, dmax + 1)
-    )
+    others = [(p, t) for p, t in tables if p != p_b]
+    surviving = weighted_float_sum(others, r, p_b, p_b, mu * mu)
     return surviving - (mu * mu) * float(off_weight)
 
 

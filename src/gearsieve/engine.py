@@ -29,7 +29,7 @@ it per position, and `signal_sums` sums it exactly and keeps nothing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -50,6 +50,9 @@ MAX_PRIME_N = 10**16
 MAX_FOURIER_PMAX = 1000
 # tau tables hold a row per residue; no supported window has a larger prime.
 MAX_TAU_P = math.isqrt(MAX_WINDOW_END)
+# product_variance_constant sieves every prime up to its bound: 10^7 peaks
+# near 27 MB, and the primes past it move the product by about 2e-15.
+MAX_PRODUCT_PMAX = 10**7
 
 # Entries per lane that one block strides: a lane this long stays in L2
 # while every (prime, offset) pair passes over it.
@@ -114,17 +117,16 @@ class Window:
         return min(self.positions, (usable + 1) // 2)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SignalTrace:
-    """Per-position signal over a window, as counts or survivor positions.
+    """Per-position signal over a window, as counts or a mask walk to come.
 
     values holds S_C(r) per position (counts mode) and is None in mask
-    mode. A mask trace strides on first use (zero_bits, zero_mask or
-    certify with survivors) and then keeps only the ascending positions
-    where S_C(r) = 0, a sparse set; a mask trace that is only counted
-    keeps nothing. zero_bits is None in counts mode; in mask mode it packs
-    one bit per position, set where S_C(r) = 0, big-endian, from those
-    positions on each read.
+    mode. A mask trace keeps no positions: zero_bits, zero_mask and
+    certify each walk the window again, so a trace that is only counted
+    never collects a survivor. zero_bits is None in counts mode; in mask
+    mode it packs one bit per position, set where S_C(r) = 0, big-endian,
+    from a fresh survivor list on each read.
     in_range is the count of leading positions eligible for certification.
     """
 
@@ -134,18 +136,11 @@ class SignalTrace:
     count_self_hits: bool
     in_range: int
     values: np.ndarray | None = None
-    _survivors: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def _core_args(self, count: int) -> tuple:
         """Striding-core arguments for the first count positions."""
         offsets = self.constellation.offsets
         return (self.window.anchor, count, self.basis.primes, offsets, self.count_self_hits)
-
-    def _positions(self) -> np.ndarray:
-        """A mask trace's survivor positions over the whole window, cached."""
-        if self._survivors is None:
-            self._survivors = _survivor_positions(*self._core_args(self.window.positions))
-        return self._survivors
 
     @property
     def zero_bits(self) -> np.ndarray | None:
@@ -153,7 +148,8 @@ class SignalTrace:
             return None
         # Packed one block of positions at a time, so no mask spans the
         # window; a block is a whole number of bytes.
-        positions, n = self._positions(), self.window.positions
+        n = self.window.positions
+        positions = _survivor_positions(*self._core_args(n))
         bits = np.empty(-(-n // 8), dtype=np.uint8)
         mask = np.empty(min(_BLOCK, n), dtype=bool)
         for lo in range(0, n, _BLOCK):
@@ -169,16 +165,23 @@ class SignalTrace:
         if self.values is not None:
             return self.values == 0
         mask = np.zeros(self.window.positions, dtype=bool)
-        mask[self._positions()] = True
+        mask[_survivor_positions(*self._core_args(self.window.positions))] = True
         return mask
 
 
 @dataclass(frozen=True)
 class CertifiedResult:
-    """A certified count, optionally with the surviving start values."""
+    """A certified count and, if asked for, the surviving start values.
+
+    survivors is then an ascending int64 array, made read-only here.
+    """
 
     count: int
-    survivors: tuple[int, ...] | None = None
+    survivors: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        if self.survivors is not None:
+            self.survivors.setflags(write=False)
 
 
 def build_basis(m0: int) -> SieveBasis:
@@ -435,28 +438,27 @@ def composite_signal(
     """Evaluate S_C over a window, storing counts or survivor positions.
 
     Counts mode strides now and keeps one small integer per position. Mask
-    mode strides nothing here: its trace collects the survivor positions
-    on first use, or `certify` counts them without keeping any, and either
-    way working memory beyond the survivors is bounded by the block size,
-    which suits very large windows. segments is validated but no longer
-    sizes the work: both modes stride fixed cache-sized blocks, so every
-    result is independent of it.
+    mode strides nothing here: each use of its trace walks the window
+    again, `certify` counting the survivors without keeping any or listing
+    them, so working memory beyond the survivors is bounded by the block
+    size, which suits very large windows. segments is validated but no
+    longer sizes the work: both modes stride fixed cache-sized blocks, so
+    every result is independent of it.
     """
     if mode not in ("counts", "mask"):
         raise ValueError(f"mode must be 'counts' or 'mask', got {mode!r}")
     _check_signal(window, constellation)
     if segments < 1:
         raise ValueError(f"segment count must be >= 1, got {segments}")
-    trace = SignalTrace(
+    args = (window.anchor, window.positions, basis.primes, constellation.offsets, count_self_hits)
+    return SignalTrace(
         basis=basis,
         window=window,
         constellation=constellation,
         count_self_hits=count_self_hits,
         in_range=window.in_range_positions(constellation.span),
+        values=signal_values(*args) if mode == "counts" else None,
     )
-    if mode == "counts":
-        trace.values = signal_values(*trace._core_args(window.positions))
-    return trace
 
 
 @dataclass(frozen=True)
@@ -533,24 +535,21 @@ def certify(trace: SignalTrace, survivors: bool = False) -> CertifiedResult:
     When every window member exceeds the basis bound, the zero-signal
     positions are exactly the all-prime tuples; members at or below the
     bound can only survive under the proper-multiples signal variant.
-    A mask trace with survivors asked for, or with its positions already
-    collected, takes the cached positions below in_range; otherwise the
-    count path walks the in_range positions alone and keeps none.
+    A mask trace walks its first in_range positions on each call: a count
+    sums the unhit entries and keeps none, and a survivor list collects
+    them. survivors, when asked for, is a read-only ascending int64 array.
     """
     if trace.values is not None:
         zeros = trace.values[: trace.in_range] == 0
         if not survivors:
             return CertifiedResult(count=int(np.count_nonzero(zeros)))
         positions = np.flatnonzero(zeros)
-    elif survivors or trace._survivors is not None:
-        positions = trace._positions()
-        positions = positions[: np.searchsorted(positions, trace.in_range)]
+    elif survivors:
+        positions = _survivor_positions(*trace._core_args(trace.in_range))
     else:
         return CertifiedResult(count=_survivor_count(*trace._core_args(trace.in_range)))
-    if not survivors:
-        return CertifiedResult(count=int(positions.size))
     starts = trace.window.anchor + 2 * positions
-    return CertifiedResult(count=int(positions.size), survivors=tuple(starts.tolist()))
+    return CertifiedResult(count=int(starts.size), survivors=starts)
 
 
 def classical_oracle_count(window: Window, constellation: Constellation) -> int:
@@ -599,7 +598,7 @@ def goldbach_count(even_n: int, survivors: bool = False) -> CertifiedResult:
     if not survivors:
         return CertifiedResult(count=_survivor_count(*args))
     values = 3 + 2 * _survivor_positions(*args)
-    return CertifiedResult(count=int(values.size), survivors=tuple(values.tolist()))
+    return CertifiedResult(count=int(values.size), survivors=values)
 
 
 def torus_average(basis_primes, constellation: Constellation) -> Fraction:

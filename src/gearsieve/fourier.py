@@ -7,8 +7,8 @@ direct O(p^2) DFTs and checks them against each other, accumulates the
 product variance constant over all primes, evaluates the weighted ergodic
 sum behind the equidistribution error table, and verifies the two
 exponential-sum lemmas (geometric tail bound and two-prime injectivity).
-The ergodic sum adds its terms with exact.exact_float_sum, as the
-covariance split does, so both come out correctly rounded.
+The ergodic sum is correlation.weighted_float_sum, the covariance
+split's kernel, so both come out correctly rounded.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constellations import TWINS
-from .correlation import _SUM_CHUNK, sparse_factors, sparse_products, tau_numerators
-from .engine import MAX_WINDOW_END
+from .correlation import _SUM_CHUNK, _tables_at_multiples, tau_numerators, weighted_float_sum
+from .engine import MAX_PRODUCT_PMAX, MAX_WINDOW_END
 from .errors import InvariantError
 from .primes import is_prime_trial, odd_primes_upto
 
@@ -123,27 +123,17 @@ def product_variance_constant(pmax: int) -> float:
     """prod_{5 <= p <= pmax} ratio(p) - 1, accumulated in the log domain.
 
     Converges to about 0.242; each factor is 1 + 2(3p-8)/(p-2)^4, so the
-    log1p sum keeps precision over thousands of near-unit terms.
+    log1p sum keeps precision over thousands of near-unit terms. pmax is
+    capped at MAX_PRODUCT_PMAX, checked before any sieving.
     """
     if pmax < 5:
         raise ValueError(f"product needs pmax >= 5, got {pmax}")
+    if pmax > MAX_PRODUCT_PMAX:
+        raise ValueError(f"product supports pmax up to {MAX_PRODUCT_PMAX}, got {pmax}")
     ps = odd_primes_upto(pmax).astype(np.float64)
     ps = ps[ps >= 5]
     excess = 2.0 * (3.0 * ps - 8.0) / (ps - 2.0) ** 4
     return float(math.expm1(np.sum(np.log1p(excess))))
-
-
-def _h_table(p: int, convention: str) -> np.ndarray:
-    """p times the h factor of prime p, as a function of d mod p.
-
-    appendix_c reads tau_p at d directly; section4 reads it at 3d, which
-    traverses the same cycle in a different order (gcd(3, p) = 1), so the
-    two conventions pair weights with different factor values.
-    """
-    nums = tau_numerators(TWINS, p)
-    if convention == "appendix_c":
-        return nums
-    return nums[(3 * np.arange(p)) % p]
 
 
 def weighted_ergodic_sum(m0: int, convention: str = "appendix_c") -> EquidistReport:
@@ -151,14 +141,12 @@ def weighted_ergodic_sum(m0: int, convention: str = "appendix_c") -> EquidistRep
 
     L = m0^2, N = floor(L/3), h(d) = prod_{5 <= p <= m0} tau_p(d mod p)
     (or tau_p(3d mod p) under section4), and theory = h_bar L^2 / 6 with
-    h_bar = prod (p-2)^2/p^2. h starts at the product of each prime's
-    generic factor and takes sparse corrections as strided slices (see
-    sparse_factors), so the hot path has no modular divisions. The terms
-    of every chunk meet in one exact_float_sum, the same float as
-    math.fsum over all of them.
+    h_bar = prod (p-2)^2/p^2. section4 traverses each prime's cycle in a
+    different order (gcd(3, p) = 1), so the two conventions pair weights
+    with different factor values. The sum is weighted_float_sum over the
+    tau tables at multiples of 1 or 3, so the hot path has no modular
+    divisions and the result is math.fsum over all the terms.
     """
-    from .exact import exact_float_sum
-
     if m0 < 11:
         raise ValueError(f"weighted sum needs m0 >= 11, got {m0}")
     if m0 * m0 > MAX_WINDOW_END:
@@ -166,13 +154,9 @@ def weighted_ergodic_sum(m0: int, convention: str = "appendix_c") -> EquidistRep
     if convention not in ("appendix_c", "section4"):
         raise ValueError(f"unknown convention {convention!r}")
     ps = [int(p) for p in odd_primes_upto(m0) if p >= 5]
-    const, corrections = sparse_factors((p, _h_table(p, convention)) for p in ps)
+    tables = _tables_at_multiples(TWINS, ps, 1 if convention == "appendix_c" else 3)
     big_l = m0 * m0
-    n = big_l // 3
-    weighted = exact_float_sum(
-        (big_l - 3.0 * np.arange(start, start + acc.size, dtype=np.float64)) * acc
-        for start, acc in sparse_products(const, corrections, 1, n + 1)
-    )
+    weighted = weighted_float_sum(tables, big_l, 3, 1, 0.0)
     h_bar = 1.0
     for p in ps:
         h_bar *= (p - 2) ** 2 / p**2
@@ -181,7 +165,7 @@ def weighted_ergodic_sum(m0: int, convention: str = "appendix_c") -> EquidistRep
     return EquidistReport(
         m0=m0,
         L=big_l,
-        N=n,
+        N=big_l // 3,
         weighted_sum=weighted,
         theory=theory,
         rel_error_pct=rel,

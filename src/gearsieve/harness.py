@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -21,7 +22,9 @@ import numpy as np
 
 from .constellations import Constellation, TWINS
 from .correlation import fano_theoretical, mean_field, variance_decomposition
-from .engine import SieveBasis, Window, build_basis, certify, composite_signal, signal_sums
+from .engine import (
+    MAX_WINDOW_END, SieveBasis, Window, build_basis, certify, composite_signal, signal_sums,
+)
 from .fourier import FitResult, fit_decay_exponent, weighted_ergodic_sum
 
 MEAN_SOURCES = ("proper", "literal")
@@ -111,6 +114,9 @@ def sweep_basis(m0: int) -> SieveBasis:
     """Basis for a sweep value: even m0 uses the odd bound just below it."""
     if m0 < 5:
         raise ValueError(f"sweep m0 must be >= 5, got {m0}")
+    # The window [anchor, m0^2) is checked before anything is sieved.
+    if m0 * m0 > MAX_WINDOW_END:
+        raise ValueError(f"window end {m0 * m0} exceeds the supported {MAX_WINDOW_END}")
     return build_basis(m0 if m0 % 2 == 1 else m0 - 1)
 
 
@@ -193,8 +199,9 @@ def _figure_row(args: tuple) -> dict:
 
 
 def _sweep(row_fn, arg_list: list[tuple], workers: int) -> list[dict]:
-    """Run one row job per m0, in parallel when asked, sorted by m0."""
-    if workers > 1 and len(arg_list) > 1:
+    """Run one row job per m0, sorted by m0, on at most one process per row and CPU."""
+    workers = min(workers, len(arg_list), os.cpu_count() or 1)
+    if workers > 1:
         # Imported only here: multiprocessing adds about 1 MB of memory and
         # 20 ms of start-up to every process that imports it.
         from concurrent.futures import ProcessPoolExecutor

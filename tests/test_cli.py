@@ -9,9 +9,9 @@ from unittest import mock
 
 import pytest
 
-from gearsieve import cli, correlation, engine, fourier, harness
+from gearsieve import cli, correlation, engine, fourier, harness, primes
 from gearsieve.cli import main
-from gearsieve.engine import MAX_FOURIER_PMAX, MAX_TAU_P, MAX_WINDOW_END
+from gearsieve.engine import MAX_FOURIER_PMAX, MAX_PRODUCT_PMAX, MAX_TAU_P, MAX_WINDOW_END
 
 
 def test_seed_command(capsys):
@@ -73,6 +73,41 @@ def test_scan_survivor_file_is_unchanged(tmp_path, capsys, tuple_text, count, sh
     assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 1103, 1104, 1105])
+def test_scan_survivor_file_does_not_depend_on_the_chunk(tmp_path, capsys, chunk):
+    # the starts are written a chunk at a time; the file is the one the
+    # tuple of Python ints gave, one start per line, whatever the chunk
+    path = tmp_path / "starts.txt"
+    argv = ["scan", "--m0", "301", "--anchor", "11", "--survivors", str(path)]
+    with mock.patch.object(cli, "_SURVIVOR_CHUNK", chunk):
+        assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 1104
+    want = "9ba435ae3fa6a2da78004aeb30be5bd202129559758df294bb129eab4a8f005b"
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == want
+
+
+def test_scan_with_no_survivors_writes_an_empty_file(tmp_path, capsys):
+    # [23, 25) has one position and no twin pair fits below 25
+    path = tmp_path / "starts.txt"
+    assert main(["scan", "--m0", "5", "--anchor", "23", "--survivors", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 0
+    assert path.read_bytes() == b""
+
+
+@pytest.mark.parametrize(
+    "even, sha256",
+    [
+        (100, "9b07b897231296f1d33ef7aa8805ea860eb9be06264f9d6398a3cb7f6a85588c"),
+        (10**4, "18e96d91eec04af438cecbc5cb09dd270f1d99e5f41fd487ca15dbc4d2302acd"),
+        (10**6, "74f123475ddb9c5c84f4a1173fae5aa2b209925af6f3dd0107cb0f6417286995"),
+    ],
+)
+def test_goldbach_survivor_output_is_unchanged(capsys, even, sha256):
+    # digests of the stdout written when the survivors were a tuple of ints
+    assert main(["goldbach", "--even", str(even), "--survivors"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
+
+
 @pytest.mark.parametrize(
     "argv, name, sha256",
     [
@@ -114,6 +149,39 @@ def test_sweeps_reject_bad_input_before_striding(tmp_path, capsys, command, argv
     with mock.patch.object(engine, "_stride_blocks", side_effect=AssertionError):
         assert main([command, *argv, "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.strip() == message
+
+
+_HUGE_M0 = "100000000001"
+
+
+@pytest.mark.parametrize(
+    "probe",
+    [
+        ["scan", "--m0", _HUGE_M0],
+        ["moments", "--m0", _HUGE_M0],
+        ["table1", "--m0-list", _HUGE_M0],
+        ["table2", "--m0-list", _HUGE_M0],
+        ["figures", "--m0-list", _HUGE_M0],
+        (harness.sweep_basis, int(_HUGE_M0)),
+        (fourier.product_variance_constant, MAX_PRODUCT_PMAX + 1),
+        (fourier.product_variance_constant, 10**11),
+    ],
+)
+def test_huge_bounds_are_rejected_before_sieving(tmp_path, capsys, probe):
+    # a prime table to 1e11 would ask for about 93 GiB, so each bound is
+    # checked before the shared table grows
+    began = time.perf_counter()
+    with mock.patch.object(primes, "_rebuild", side_effect=AssertionError("sieved")):
+        if isinstance(probe, list):
+            sweep = probe[0] in ("table1", "table2", "figures")
+            assert main([*probe, *(["--out", str(tmp_path)] if sweep else [])]) == 2
+            assert "exceeds the supported" in capsys.readouterr().err
+        else:
+            fn, bound = probe
+            with pytest.raises(ValueError, match="supported|supports"):
+                fn(bound)
+    assert time.perf_counter() - began < 1.0
+    assert not any(tmp_path.iterdir())
 
 
 def test_count_wheel_follows_window_size(capsys):
@@ -213,7 +281,7 @@ def test_float_sum_commands_past_window_cap_exit_two(capsys):
     # float arrays of about m0^2/3 entries, so the cap is checked first
     assert 31623**2 > MAX_WINDOW_END
     unreachable = AssertionError("the window cap was not checked first")
-    with mock.patch.object(fourier, "sparse_factors", side_effect=unreachable), \
+    with mock.patch.object(fourier, "weighted_float_sum", side_effect=unreachable), \
             mock.patch.object(correlation, "_sigma_off_split_float", side_effect=unreachable):
         assert main(["equidist", "--m0", "31623"]) == 2
         assert main(["moments", "--m0", "31623", "--mu-source", "expected"]) == 2

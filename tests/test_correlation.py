@@ -163,6 +163,19 @@ def test_sigma_off_split_float_matches_dense_product():
             assert got == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "m0, constellation, split",
+    [(999, TWINS, "-0x1.6c8141438a000p+11"), (3001, TRIPLE, "-0x1.a140293ad4000p+10")],
+)
+def test_sigma_off_split_float_keeps_its_floats(m0, constellation, split):
+    # the splits the covariance loop gave before it shared weighted_float_sum
+    # with the ergodic sum, to the last bit
+    primes = [int(p) for p in odd_primes_upto(m0)]
+    tables = _tables_at_multiples(constellation, primes, 3)
+    positions = Window.for_capacity(m0).positions
+    assert _sigma_off_split_float(constellation, tables, positions, 3).hex() == split
+
+
 def test_tau_period_sum_identity():
     # sum over one period is (p - omega)^2 / p, exactly
     for constellation in (TWINS, COUSINS, SEXY, TRIPLE):

@@ -133,7 +133,7 @@ def test_certified_twins_match_local_oracle():
             for n in range(window.anchor, window.end - 2, 2)
             if n > m0 and n in prime_set and (n + 2) in prime_set
         ]
-        assert list(result.survivors) == expected
+        assert result.survivors.tolist() == expected
         assert result.count == len(expected)
 
 
@@ -168,7 +168,7 @@ def test_survivor_values_are_twin_starts():
     window = Window(7, 900)
     result = certify(composite_signal(basis, window, TWINS), survivors=True)
     assert result.count == 30
-    assert result.survivors[:5] == (41, 59, 71, 101, 107)
+    assert result.survivors[:5].tolist() == [41, 59, 71, 101, 107]
     prime_set = _local_prime_set(1000)
     for start in result.survivors:
         assert start in prime_set and start + 2 in prime_set
@@ -254,7 +254,7 @@ def test_goldbach_examples():
     assert goldbach_count(10).count == 2
     assert goldbach_count(100).count == 6
     result = goldbach_count(100, survivors=True)
-    assert result.survivors == (3, 11, 17, 29, 41, 47)
+    assert result.survivors.tolist() == [3, 11, 17, 29, 41, 47]
 
 
 def test_goldbach_matches_exhaustive_small():

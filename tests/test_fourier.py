@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gearsieve import correlation, fourier
+from gearsieve import correlation, exact, fourier
 from gearsieve.constellations import TWINS
 from gearsieve.correlation import tau, variance_decomposition
 from gearsieve.engine import MAX_WINDOW_END, Window, build_basis
@@ -111,27 +111,36 @@ def test_weighted_ergodic_sum_matches_dense_product():
             assert got == pytest.approx(want, rel=1e-12)
 
 
-def _fsum_ergodic_reference(m0, convention):
-    # math.fsum over the chained sparse_products terms, the sum the
-    # exact float sum replaced
-    ps = [int(p) for p in odd_primes_upto(m0) if p >= 5]
-    const, corrections = correlation.sparse_factors(
-        (p, fourier._h_table(p, convention)) for p in ps
-    )
-    big_l = m0 * m0
-    return math.fsum(
-        itertools.chain.from_iterable(
-            (big_l - 3.0 * np.arange(start, start + acc.size, dtype=np.float64)) * acc
-            for start, acc in correlation.sparse_products(const, corrections, 1, big_l // 3 + 1)
-        )
-    )
+def _fsum_of_chunks(arrays):
+    # math.fsum over the chained chunk terms, the sum the exact float sum
+    # replaced
+    return math.fsum(itertools.chain.from_iterable(arrays))
 
 
-def test_weighted_ergodic_sum_equals_fsum_of_terms():
-    for m0 in (11, 101, 211, 1000):
-        for convention in ("appendix_c", "section4"):
-            got = weighted_ergodic_sum(m0, convention=convention).weighted_sum
-            assert got == _fsum_ergodic_reference(m0, convention)
+def test_weighted_ergodic_sum_equals_fsum_of_terms(monkeypatch):
+    cases = [(m0, c) for m0 in (11, 101, 211, 1000) for c in ("appendix_c", "section4")]
+    got = {case: weighted_ergodic_sum(*case).weighted_sum for case in cases}
+    monkeypatch.setattr(exact, "exact_float_sum", _fsum_of_chunks)
+    for case in cases:
+        assert weighted_ergodic_sum(*case).weighted_sum == got[case]
+
+
+@pytest.mark.parametrize(
+    "m0, convention, weighted_sum",
+    [
+        # 3 divides L = 900, so the last distance N = L/3 has weight 0
+        (30, "appendix_c", "0x1.49f5e4762ec98p+12"),
+        (30, "section4", "0x1.49c64422ee5cfp+12"),
+        (101, "appendix_c", "0x1.acbd62cc961a7p+17"),
+        (101, "section4", "0x1.acb6d4523a94cp+17"),
+        (1000, "appendix_c", "0x1.acbee8b2c91d8p+28"),
+        (1000, "section4", "0x1.acbec87e3996ep+28"),
+    ],
+)
+def test_weighted_ergodic_sum_keeps_its_floats(m0, convention, weighted_sum):
+    # the sums the ergodic loop gave before it shared weighted_float_sum
+    # with the covariance split, to the last bit
+    assert weighted_ergodic_sum(m0, convention=convention).weighted_sum.hex() == weighted_sum
 
 
 def test_weighted_ergodic_sum_chunk_invariant(monkeypatch):
@@ -168,7 +177,7 @@ def test_weighted_ergodic_sum_rejects_m0_past_window_cap(monkeypatch):
     def unreachable(*args):
         raise AssertionError("the window cap was not checked first")
 
-    monkeypatch.setattr(fourier, "sparse_factors", unreachable)
+    monkeypatch.setattr(fourier, "weighted_float_sum", unreachable)
     assert 31622**2 <= MAX_WINDOW_END < 31623**2
     with pytest.raises(ValueError, match="exceeds"):
         weighted_ergodic_sum(31623)

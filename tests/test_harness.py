@@ -4,9 +4,11 @@ import csv
 import json
 import math
 import tracemalloc
+from unittest import mock
 
 import pytest
 
+from gearsieve import harness
 from gearsieve.constellations import TWINS
 from gearsieve.engine import Window
 from gearsieve.harness import (
@@ -222,6 +224,35 @@ def test_workers_do_not_change_output(tmp_path):
     serial = run_table2(RunConfig(m0_list=(30, 50, 100)))
     parallel = run_table2(RunConfig(m0_list=(30, 50, 100), workers=3))
     assert serial == parallel
+
+
+def test_sweep_starts_at_most_one_process_per_row_and_cpu():
+    # the pool class is a recorder that runs the rows in this process, so
+    # no process starts whatever max_workers it is asked for
+    started = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return map(fn, args)
+
+    serial = run_table2(RunConfig(m0_list=(30, 50, 100)))
+    cfg = RunConfig(m0_list=(30, 50, 100), workers=10**6)
+    with mock.patch("concurrent.futures.ProcessPoolExecutor", Recorder):
+        for cpus in (8, 2, 1, None):
+            with mock.patch.object(harness.os, "cpu_count", return_value=cpus):
+                assert run_table2(cfg) == serial
+    # three rows on eight CPUs, two CPUs; one CPU (or an unknown count)
+    # runs the rows serially, with no pool
+    assert started == [3, 2]
 
 
 def test_run_figures_files(tmp_path):
