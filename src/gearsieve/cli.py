@@ -49,7 +49,8 @@ from .harness import (
 from .primes import odd_primes_upto
 
 _NAMED_TUPLES = {(0, 2): TWINS, (0, 4): COUSINS, (0, 6): SEXY}
-# Survivor starts per write, so the text of the whole list is never held.
+# Survivor starts per write (scan's file, goldbach's JSON list), so the
+# text of the whole list is never held.
 _SURVIVOR_CHUNK = 1 << 16
 
 
@@ -209,9 +210,18 @@ def _cmd_fourier(args: argparse.Namespace) -> int:
 def _cmd_goldbach(args: argparse.Namespace) -> int:
     result = goldbach_count(args.even, survivors=args.survivors)
     payload = {"even": args.even, "count": result.count}
-    if args.survivors:
-        payload["survivors"] = result.survivors.tolist()
-    _print_json(payload)
+    if not args.survivors:
+        _print_json(payload)
+        return 0
+    # json_text's layout, with the list written a chunk at a time so that
+    # neither a list of all the ints nor the whole text is ever held.
+    head, tail = json_text({**payload, "survivors": []}).rsplit("[]", 1)
+    starts = result.survivors
+    sys.stdout.write(head + "[")
+    for lo in range(0, starts.size, _SURVIVOR_CHUNK):
+        chunk = starts[lo : lo + _SURVIVOR_CHUNK].tolist()
+        sys.stdout.write(("," if lo else "") + "\n    " + ",\n    ".join(map(str, chunk)))
+    sys.stdout.write(("\n  ]" if starts.size else "]") + tail + "\n")
     return 0
 
 

@@ -5,9 +5,13 @@ tau_p(d) is the fraction of residues a mod p at which the tuple survives
 at both positions r and r + d. Since consecutive positions are 2 apart,
 the forbidden residues are F_p = {-h mod p} at r and the same set shifted
 by -2d at r + d, so p * tau_p(d) = p - 2|F_p| + |F_p ∩ (F_p - 2d)|.
-tau_numerators evaluates that closed form for a whole period at once and
-is the one kernel behind every tau table; tau() counts the union per
-distance in Fraction arithmetic and serves as its oracle.
+Only the pairwise differences of F_p lift the flat value p - 2|F_p|, so
+over a period the table leaves it at no more than k(k-1) + 1 residues.
+sparse_tau_table evaluates that closed form in O(k^2) per prime, as a
+base value plus the few residues off it, read at any stride; it is the
+one kernel behind the covariance and ergodic sums, and tau_numerators is
+its dense expansion. tau() counts the union per distance in Fraction
+arithmetic and serves as its oracle.
 
 The exact results are exact integers or Fractions: the tau values, the
 CRT averages and, for windows of at most EXACT_POSITION_LIMIT positions,
@@ -132,23 +136,60 @@ def tau_table(constellation: Constellation, p: int) -> list[LocalSurvival]:
 def tau_numerators(constellation: Constellation, p: int) -> np.ndarray:
     """p * tau_p(d) for d = 0 .. p-1 as an int64 array, in O(k^2 + p).
 
+    The dense expansion of sparse_tau_table at stride 1. Each value is at
+    most p; products over many primes are weighted_product_sum's work,
+    modulo primes below 2^31.
+    """
+    return _expand(p, *sparse_tau_table(constellation, p, 1))
+
+
+def sparse_tau_table(
+    constellation: Constellation, p: int, stride: int
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """t -> n_p(stride * t mod p) for t = 0 .. p-1 as (base, residues, values), in O(k^2).
+
+    n_p = p * tau_p. The table is base except at the ascending int64
+    residues, where it holds the int64 values. base is the most common
+    nonzero value, the smallest on a tie, and 0 when every value is 0.
+
     The overlap |F ∩ (F - 2d)| counts the pairs (a, b) in F x F with
-    b - a = 2d (mod p), so one bincount of the pairwise differences gives
-    it for every d. Each value is at most p; products over many primes are
-    weighted_product_sum's work, modulo primes below 2^31.
+    b - a = 2d (mod p), so each pair lifts the flat value p - 2|F| at
+    t = (b - a) * (2 * stride)^-1 mod p, and at most k(k-1) + 1 residues
+    leave it. When p divides stride the table is the constant
+    n_p(0) = p - |F|. Otherwise, when fewer than half the residues leave
+    the flat value, it is the base; only a prime p <= 2 (k(k-1) + 1) can
+    fail that, and its table is expanded and counted to find the base.
     """
     _require_prime(p)
-    forbidden = np.array(sorted({-h % p for h in constellation.offsets}), dtype=np.int64)
-    overlap = np.bincount((forbidden[:, None] - forbidden[None, :]).ravel() % p, minlength=p)
-    return p - 2 * forbidden.size + overlap[2 * np.arange(p) % p]
-
-
-def _table_base(nums: np.ndarray) -> tuple[int, np.ndarray]:
-    """The most common nonzero value of a table and the residues that differ from it."""
+    forbidden = {-h % p for h in constellation.offsets}
+    if stride % p == 0:
+        none = np.empty(0, dtype=np.int64)
+        return p - len(forbidden), none, none
+    step = pow(2 * stride, -1, p)
+    overlap: dict[int, int] = {}
+    for a in forbidden:
+        for b in forbidden:
+            t = (b - a) * step % p
+            overlap[t] = overlap.get(t, 0) + 1
+    flat = p - 2 * len(forbidden)
+    residues = sorted(overlap)
+    lifted = [flat + overlap[t] for t in residues]
+    if 2 * len(residues) < p:
+        # flat (odd, so nonzero) holds at more than half the residues.
+        return flat, np.array(residues, dtype=np.int64), np.array(lifted, dtype=np.int64)
+    nums = _expand(p, flat, residues, lifted)
     counts = np.bincount(nums)
     counts[0] = 0
     base = int(np.argmax(counts))
-    return base, np.flatnonzero(nums != base)
+    changed = np.flatnonzero(nums != base)
+    return base, changed, nums[changed]
+
+
+def _expand(p: int, base: int, residues, values) -> np.ndarray:
+    """The dense p-entry int64 table of a (base, residues, values) triple."""
+    nums = np.full(p, base, dtype=np.int64)
+    nums[residues] = values
+    return nums
 
 
 def universal_average(constellation: Constellation, p: int) -> Fraction:
@@ -229,12 +270,13 @@ def asymptotic_report(m0: int, constellation: Constellation, anchor: int = 7) ->
 
 
 def _tables_at_multiples(constellation: Constellation, primes, stride: int):
-    """(p, table) per prime, where table[t] = n_p(stride * t mod p).
+    """(p, base, residues, values) per prime: sparse_tau_table at stride.
 
-    Distance d = stride * j reads its factor at table[j % p], so every
-    sum over the multiples of stride runs over j.
+    The table t -> n_p(stride * t mod p) is base except at the residues.
+    Distance d = stride * j reads its factor at t = j % p, so every sum
+    over the multiples of stride runs over j. No p-entry array is built.
     """
-    return [(p, tau_numerators(constellation, p)[stride * np.arange(p) % p]) for p in primes]
+    return [(p, *sparse_tau_table(constellation, p, stride)) for p in primes]
 
 
 def weighted_product_sum(
@@ -242,9 +284,9 @@ def weighted_product_sum(
 ) -> int:
     """W = sum_{j=1}^{J} (R - s j) * prod_p n_p(s j mod p), exactly.
 
-    R = positions, s = stride, J = (R - 1) // s and n_p = tau_numerators;
-    the kernel is _weighted_table_sum on the primes' tables at multiples
-    of s.
+    R = positions, s = stride, J = (R - 1) // s and n_p = p * tau_p;
+    the kernel is _weighted_table_sum on the primes' sparse tables at
+    multiples of s.
     """
     tables = _tables_at_multiples(constellation, primes, stride)
     return _weighted_table_sum(tables, positions, stride)
@@ -253,20 +295,21 @@ def weighted_product_sum(
 def _weighted_table_sum(tables, positions: int, stride: int) -> int:
     """W = sum_{j=1}^{J} (R - s j) * prod_p table_p[j mod p], exactly.
 
-    tables are (p, table_p) with table_p[t] = n_p(s t mod p), as built by
-    _tables_at_multiples. With s = 1 this is the weighted covariance sum
-    over every distance; with s a blocking prime of the basis it is the
-    same sum, because n_s(d) = 0 whenever s does not divide d.
+    tables are the sparse (p, base, residues, values) forms of table_p[t]
+    = n_p(s t mod p), as built by _tables_at_multiples. With s = 1 this
+    is the weighted covariance sum over every distance; with s a blocking
+    prime of the basis it is the same sum, because n_s(d) = 0 whenever s
+    does not divide d.
 
     Multimodular evaluation (Knuth, TAOCP vol. 2, 4.3.2): every term is
     below R * prod p, so W < R^2 * prod p, and W is summed modulo enough
     primes below 2^31 for their product to exceed that bound, in int64,
     then rebuilt by CRT. Each product starts at the constant prod of the
-    tables' bases (weighted_float_sum's split); a prime whose table is
-    mostly off its base takes one gather instead, the others a strided
-    slice per correction residue scaled by the modular inverse of the
-    base. Blocks of moduli keep the work array near _KERNEL_ENTRIES
-    entries.
+    tables' bases (weighted_float_sum's split), and each correction
+    residue scales a strided slice by its value times the modular inverse
+    of the base. A prime with 2 |residues| >= p (only p <= 2 (k(k-1) + 1)
+    can have one) takes one gather from its expanded table instead.
+    Blocks of moduli keep the work array near _KERNEL_ENTRIES entries.
     """
     # Imported on first use: no query command needs the exact sums.
     from .exact import MODULUS_CAP, crt_moduli, crt_rebuild, modular_inverses
@@ -277,17 +320,16 @@ def _weighted_table_sum(tables, positions: int, stride: int) -> int:
     count = (r - 1) // s
     if count <= 0:
         return 0
-    bound = r * r * math.prod(p for p, _ in tables)
+    bound = r * r * math.prod(p for p, *_ in tables)
     moduli, product = crt_moduli(bound)
     if product <= bound:
         raise InvariantError(f"CRT moduli product does not exceed the bound {bound}")
     dense, sparse = [], []
-    for p, nums in tables:
-        base, residues = _table_base(nums)
+    for p, base, residues, values in tables:
         if 2 * residues.size >= p:
-            dense.append((p, nums))
+            dense.append((p, _expand(p, base, residues, values)))
         else:
-            sparse.append((p, base, residues, nums[residues]))
+            sparse.append((p, base, residues, values))
     base_product = math.prod(base for _, base, _, _ in sparse)
     width = min(count, _KERNEL_ENTRIES)
     rows = max(1, _KERNEL_ENTRIES // width)
@@ -332,7 +374,7 @@ def _sigma_off_direct_exact(
     minus mu^2 times the total weight, with a single final division.
     stride may be a blocking prime of the basis; the value is the same.
     """
-    primes = [p for p, _ in tables]
+    primes = [p for p, *_ in tables]
     big_q = math.prod(primes)
     big_m = math.prod(p - omega(constellation, p) for p in primes)
     weighted = _weighted_table_sum(tables, positions, stride)
@@ -343,24 +385,23 @@ def _sigma_off_direct_exact(
 def weighted_float_sum(tables, positions: int, stride: int, divisor: int, shift: float) -> float:
     """sum_{j=1}^{J} (R - s j) * (prod_p table_p[j mod p] / divisor - shift), in float64.
 
-    The float twin of _weighted_table_sum, with its R, s, J and tables.
-    Each table's base is its most common nonzero value; the product is
-    prod base / p times, for each p, table_p[t] / base at the residues t
-    where table_p[t] != base. A tau table of a k-tuple leaves p - 2|F| at
-    all but at most k(k-1) + 1 residues, so past the smallest primes the
-    corrections are few, and they run as strided slices over j. The terms
-    are built in chunks of _SUM_CHUNK entries, correcting in table order,
-    and every chunk meets in one exact_float_sum: the result is math.fsum
-    over all the terms, whatever the chunk size.
+    The float twin of _weighted_table_sum, with its R, s, J and sparse
+    (p, base, residues, values) tables. The product is prod base / p
+    times, for each p, value / base at each of its residues. A tau table
+    of a k-tuple leaves p - 2|F| at no more than k(k-1) + 1 residues, so
+    past the smallest primes the corrections are few, and they run as
+    strided slices over j. The terms are built in chunks of _SUM_CHUNK
+    entries, correcting in table order, and every chunk meets in one
+    exact_float_sum: the result is math.fsum over all the terms, whatever
+    the chunk size.
     """
     from .exact import exact_float_sum
 
     ps, bases, corrections = [], [], []
-    for p, nums in tables:
-        base, residues = _table_base(nums)
+    for p, base, residues, values in tables:
         ps.append(p)
         bases.append(base)
-        corrections.append((p, residues.tolist(), (nums[residues] / base).tolist()))
+        corrections.append((p, residues.tolist(), (values / base).tolist()))
     # int / int rounds once, so the constant is the correctly rounded product.
     const = math.prod(bases) / math.prod(ps) / divisor
     r, s = positions, stride
@@ -393,11 +434,11 @@ def _sigma_off_split_float(
     r = positions
     dmax = (r - 1) // p_b
     mu = 1.0
-    for p, _ in tables:
+    for p, *_ in tables:
         mu *= (p - omega(constellation, p)) / p
     on_weight = dmax * r - p_b * dmax * (dmax + 1) // 2
     off_weight = r * (r - 1) // 2 - on_weight
-    others = [(p, t) for p, t in tables if p != p_b]
+    others = [table for table in tables if table[0] != p_b]
     surviving = weighted_float_sum(others, r, p_b, p_b, mu * mu)
     return surviving - (mu * mu) * float(off_weight)
 

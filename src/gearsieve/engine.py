@@ -38,7 +38,7 @@ from .constellations import Constellation, is_admissible, omega
 from .errors import InvariantError
 # primes_upto is not called here any more; benchmarks/tracing.py times
 # the prime table by rebinding engine.primes_upto, so the name stays.
-from .primes import odd_primes_upto, primes_upto  # noqa: F401
+from .primes import MAX_PRIME_TABLE, odd_primes_upto, primes_upto  # noqa: F401
 
 # Domain limits of the public entry points, kept in one place.
 # Windows (and Goldbach even values) larger than this are out of scope.
@@ -50,9 +50,10 @@ MAX_PRIME_N = 10**16
 MAX_FOURIER_PMAX = 1000
 # tau tables hold a row per residue; no supported window has a larger prime.
 MAX_TAU_P = math.isqrt(MAX_WINDOW_END)
-# product_variance_constant sieves every prime up to its bound: 10^7 peaks
-# near 27 MB, and the primes past it move the product by about 2e-15.
-MAX_PRODUCT_PMAX = 10**7
+# product_variance_constant sieves every prime up to its bound, which is
+# the prime table's own: 10^7 peaks near 27 MB, and the primes past it
+# move the product by about 2e-15.
+MAX_PRODUCT_PMAX = MAX_PRIME_TABLE
 
 # Entries per lane that one block strides: a lane this long stays in L2
 # while every (prime, offset) pair passes over it.

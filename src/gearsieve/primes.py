@@ -3,6 +3,7 @@
 A single module-level sieve backs every prime enumeration in the package.
 The table grows geometrically and is never shrunk, so repeated callers with
 increasing bounds amortize to one sieve pass; views handed out are read-only.
+Bounds past MAX_PRIME_TABLE are refused before anything is allocated.
 """
 
 from __future__ import annotations
@@ -10,6 +11,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+# The largest bound the table sieves to: a 10 MB mask and 5.3 MB of primes.
+# The supported windows need primes only to isqrt(MAX_WINDOW_END) and
+# the exact sums to isqrt(2^31); product_variance_constant needs 10^7.
+MAX_PRIME_TABLE = 10**7
 
 _table: np.ndarray = np.empty(0, dtype=np.int64)
 _limit: int = -1
@@ -31,8 +37,10 @@ def primes_upto(n: int) -> np.ndarray:
     """All primes <= n, ascending, as a read-only int64 array."""
     if n < 0:
         raise ValueError(f"negative bound: {n}")
+    if n > MAX_PRIME_TABLE:
+        raise ValueError(f"prime bound {n} exceeds the supported {MAX_PRIME_TABLE}")
     if n > _limit:
-        _rebuild(max(n, 2 * _limit, 1024))
+        _rebuild(min(max(n, 2 * _limit, 1024), MAX_PRIME_TABLE))
     return _table[: int(np.searchsorted(_table, n, side="right"))]
 
 

@@ -7,10 +7,12 @@ import math
 import time
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from gearsieve import cli, correlation, engine, fourier, harness, primes
 from gearsieve.cli import main
+from gearsieve.constellations import TWINS, Constellation, density_product, is_admissible
 from gearsieve.engine import MAX_FOURIER_PMAX, MAX_PRODUCT_PMAX, MAX_TAU_P, MAX_WINDOW_END
 
 
@@ -108,6 +110,27 @@ def test_goldbach_survivor_output_is_unchanged(capsys, even, sha256):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
 
 
+@pytest.mark.parametrize("even", [8, 100, 10**4, 10**6])
+def test_goldbach_survivor_stream_equals_json_text(capsys, even):
+    # the list is written in chunks; every chunk size gives json_text's bytes
+    result = engine.goldbach_count(even, survivors=True)
+    want = harness.json_text(
+        {"even": even, "count": result.count, "survivors": result.survivors.tolist()}
+    ) + "\n"
+    for chunk in (1, 7, cli._SURVIVOR_CHUNK):
+        with mock.patch.object(cli, "_SURVIVOR_CHUNK", chunk):
+            assert main(["goldbach", "--even", str(even), "--survivors"]) == 0
+        assert capsys.readouterr().out == want
+
+
+def test_goldbach_empty_survivor_list_is_json_text(capsys):
+    empty = engine.CertifiedResult(count=0, survivors=np.empty(0, dtype=np.int64))
+    with mock.patch.object(cli, "goldbach_count", return_value=empty):
+        assert main(["goldbach", "--even", "8", "--survivors"]) == 0
+    want = harness.json_text({"even": 8, "count": 0, "survivors": []}) + "\n"
+    assert capsys.readouterr().out == want
+
+
 @pytest.mark.parametrize(
     "argv, name, sha256",
     [
@@ -165,11 +188,20 @@ _HUGE_M0 = "100000000001"
         (harness.sweep_basis, int(_HUGE_M0)),
         (fourier.product_variance_constant, MAX_PRODUCT_PMAX + 1),
         (fourier.product_variance_constant, 10**11),
+        ["admissible", "0,1000000000"],
+        (lambda n: engine.build_basis(n + 1), 10**11),
+        (correlation.fano_theoretical, 10**11),
+        (lambda n: correlation.mean_field(TWINS, n, 100), 10**11),
+        (lambda n: correlation.asymptotic_report(n, TWINS), 10**11),
+        (lambda n: density_product(TWINS, n), 10**11),
+        (lambda n: is_admissible(Constellation("far", (0, n))), 10**9),
+        (primes.primes_upto, primes.MAX_PRIME_TABLE + 1),
     ],
 )
 def test_huge_bounds_are_rejected_before_sieving(tmp_path, capsys, probe):
     # a prime table to 1e11 would ask for about 93 GiB, so each bound is
-    # checked before the shared table grows
+    # checked before the shared table grows; primes_upto itself refuses
+    # any bound past MAX_PRIME_TABLE
     began = time.perf_counter()
     with mock.patch.object(primes, "_rebuild", side_effect=AssertionError("sieved")):
         if isinstance(probe, list):
@@ -182,6 +214,16 @@ def test_huge_bounds_are_rejected_before_sieving(tmp_path, capsys, probe):
                 fn(bound)
     assert time.perf_counter() - began < 1.0
     assert not any(tmp_path.iterdir())
+
+
+def test_prime_table_growth_stops_at_its_bound(monkeypatch):
+    # the table doubles its bound on growth, but never past MAX_PRIME_TABLE
+    grown = []
+    monkeypatch.setattr(primes, "_limit", primes.MAX_PRIME_TABLE // 2 + 1)
+    monkeypatch.setattr(primes, "_rebuild", grown.append)
+    primes.primes_upto(primes.MAX_PRIME_TABLE // 2 + 2)
+    primes.primes_upto(primes.MAX_PRIME_TABLE)
+    assert grown == [primes.MAX_PRIME_TABLE] * 2
 
 
 def test_count_wheel_follows_window_size(capsys):

@@ -21,6 +21,7 @@ from gearsieve.correlation import (
     fano_theoretical,
     mean_field,
     paley_zygmund_bound,
+    sparse_tau_table,
     tau,
     tau_numerators,
     tau_table,
@@ -28,7 +29,7 @@ from gearsieve.correlation import (
     variance_decomposition,
     weighted_product_sum,
 )
-from gearsieve.engine import MAX_TAU_P, MAX_WINDOW_END, Window, build_basis
+from gearsieve.engine import MAX_TAU_P, MAX_WINDOW_END, SieveBasis, Window, build_basis
 from gearsieve.exact import _primes_below_cap, crt_moduli, crt_rebuild, exact_float_sum
 from gearsieve.primes import odd_primes_upto
 
@@ -110,6 +111,53 @@ def test_tau_rejects_two_and_composite_moduli():
             tau_table(TWINS, p)
         with pytest.raises(ValueError):
             tau_numerators(TWINS, p)
+        for stride in (1, 3):
+            with pytest.raises(ValueError):
+                sparse_tau_table(TWINS, p, stride)
+            with pytest.raises(ValueError):
+                weighted_product_sum(TWINS, [3, 5, p], 100, stride)
+        basis = SieveBasis(m0=29, primes=np.array([3, 5, p, 29], dtype=np.int64))
+        with pytest.raises(ValueError):
+            variance_decomposition(basis, Window(7, 900), TWINS, observed_count=30)
+
+
+def _table_base_reference(nums):
+    # the rule the sums used to apply to every dense table: the most
+    # common nonzero value (the smallest on a tie), and where nums leaves it
+    counts = np.bincount(nums)
+    counts[0] = 0
+    base = int(np.argmax(counts))
+    residues = np.flatnonzero(nums != base)
+    return base, residues, nums[residues]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    sets(integers(1, 30), max_size=4),
+    sampled_from([int(p) for p in odd_primes_upto(500)]),
+    sampled_from(["1", "3", "p", "2p"]),
+)
+@example({1}, 3, "1")
+@example({2, 4}, 3, "3")
+@example({2, 4, 6, 8}, 5, "1")
+@example({1, 2, 3, 4}, 7, "3")
+@example({2, 4, 6}, 7, "p")
+def test_sparse_tau_table_matches_fraction_tau(offsets, p, stride_name):
+    # admissible and not: a fully occupied prime gives the all-zero table
+    constellation = Constellation("random", (0, *sorted(offsets)))
+    stride = {"1": 1, "3": 3, "p": p, "2p": 2 * p}[stride_name]
+    base, residues, values = sparse_tau_table(constellation, p, stride)
+    assert residues.dtype == values.dtype == np.int64
+    nums = np.full(p, base, dtype=np.int64)
+    nums[residues] = values
+    assert nums.tolist() == [tau(constellation, p, stride * t % p).tau * p for t in range(p)]
+    want = _table_base_reference(nums)
+    assert base == want[0]
+    assert residues.tolist() == want[1].tolist()
+    assert values.tolist() == want[2].tolist()
+    k = constellation.size
+    if p > 2 * (k * (k - 1) + 1):
+        assert 2 * residues.size < p
 
 
 @settings(max_examples=200, deadline=None)
@@ -534,7 +582,7 @@ def test_variance_report_builds_each_tau_table_once():
     basis, window = build_basis(101), Window(7, 101 * 101)
     assert window.positions <= EXACT_POSITION_LIMIT
     for constellation in (TWINS, TRIPLE, SEXY):
-        with mock.patch.object(correlation, "tau_numerators", wraps=tau_numerators) as spy:
+        with mock.patch.object(correlation, "sparse_tau_table", wraps=sparse_tau_table) as spy:
             report = variance_decomposition(basis, window, constellation, observed_count=100)
         assert report.sigma_off_direct is not None
         assert (report.sigma_off_split is not None) == (constellation is not SEXY)
