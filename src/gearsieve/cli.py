@@ -374,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="appendix_c",
                    help="weight-table indexing (default: appendix_c)")
 
-    p = sub.add_parser("figures", help="figure data series as CSV files")
+    p = sub.add_parser("figures", help="figure data series, one file per series and format")
     _add_sweep_flags(p)
 
     p = sub.add_parser("fit", help="decay-exponent fit over an m0 ladder")

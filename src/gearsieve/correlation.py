@@ -15,8 +15,8 @@ arithmetic and serves as its oracle.
 
 The exact results are exact integers or Fractions: the tau values, the
 CRT averages and, for windows of at most EXACT_POSITION_LIMIT positions,
-the covariance sum, whose integer part weighted_product_sum evaluates by
-multimodular int64 arithmetic and CRT. Floats appear at report boundaries
+the covariance sum, whose integer part weighted_product_sum evaluates as
+one Python-int sum over the sparse tables. Floats appear at report boundaries
 (MomentReport fields, table cells) and in the float64 blocked/surviving
 split, which covers larger windows and cross-checks the exact sum.
 """
@@ -31,15 +31,12 @@ import numpy as np
 
 from .constellations import Constellation, density_product, is_admissible, omega
 from .engine import MAX_TAU_P, MAX_WINDOW_END, SieveBasis, Window, certify, composite_signal
-from .errors import InvariantError
 from .primes import is_prime_trial, odd_primes_upto
 
 # Windows with at most this many positions get the exact covariance sum
 # (weighted_product_sum); larger windows get the float64 split alone.
 EXACT_POSITION_LIMIT = 20_000
-# Entries of the exact sum's int64 work array, and of each chunk of the
-# float sums' arrays.
-_KERNEL_ENTRIES = 1 << 20
+# Entries of each chunk of the float sums' arrays.
 _SUM_CHUNK = 1 << 20
 
 
@@ -137,8 +134,8 @@ def tau_numerators(constellation: Constellation, p: int) -> np.ndarray:
     """p * tau_p(d) for d = 0 .. p-1 as an int64 array, in O(k^2 + p).
 
     The dense expansion of sparse_tau_table at stride 1. Each value is at
-    most p; products over many primes are weighted_product_sum's work,
-    modulo primes below 2^31.
+    most p; weighted_product_sum forms the products over many primes as
+    Python ints.
     """
     return _expand(p, *sparse_tau_table(constellation, p, 1))
 
@@ -286,8 +283,13 @@ def weighted_product_sum(
 
     R = positions, s = stride, J = (R - 1) // s and n_p = p * tau_p;
     the kernel is _weighted_table_sum on the primes' sparse tables at
-    multiples of s.
+    multiples of s. R is at most EXACT_POSITION_LIMIT, checked before any
+    table or entry is built.
     """
+    if positions > EXACT_POSITION_LIMIT:
+        raise ValueError(
+            f"the exact sum supports up to {EXACT_POSITION_LIMIT} positions, got {positions}"
+        )
     tables = _tables_at_multiples(constellation, primes, stride)
     return _weighted_table_sum(tables, positions, stride)
 
@@ -301,66 +303,25 @@ def _weighted_table_sum(tables, positions: int, stride: int) -> int:
     prime of the basis it is the same sum, because n_s(d) = 0 whenever s
     does not divide d.
 
-    Multimodular evaluation (Knuth, TAOCP vol. 2, 4.3.2): every term is
-    below R * prod p, so W < R^2 * prod p, and W is summed modulo enough
-    primes below 2^31 for their product to exceed that bound, in int64,
-    then rebuilt by CRT. Each product starts at the constant prod of the
-    tables' bases (weighted_float_sum's split), and each correction
-    residue scales a strided slice by its value times the modular inverse
-    of the base. A prime with 2 |residues| >= p (only p <= 2 (k(k-1) + 1)
-    can have one) takes one gather from its expanded table instead.
-    Blocks of moduli keep the work array near _KERNEL_ENTRIES entries.
+    One Python-int entry per distance starts at prod base. Each residue t
+    of each prime scales the strided slice j = t (mod p) by its value and
+    divides out that prime's base; the division is exact, because each j
+    meets each prime's base once. A value of 0 sets the slice to 0.
     """
-    # Imported on first use: no query command needs the exact sums.
-    from .exact import MODULUS_CAP, crt_moduli, crt_rebuild, modular_inverses
-
     r, s = positions, stride
-    if r >= MODULUS_CAP:
-        raise ValueError(f"the exact sum keeps weights below 2^31, got {r} positions")
     count = (r - 1) // s
     if count <= 0:
         return 0
-    bound = r * r * math.prod(p for p, *_ in tables)
-    moduli, product = crt_moduli(bound)
-    if product <= bound:
-        raise InvariantError(f"CRT moduli product does not exceed the bound {bound}")
-    dense, sparse = [], []
+    acc = np.full(count, math.prod(base for _, base, _, _ in tables), dtype=object)
     for p, base, residues, values in tables:
-        if 2 * residues.size >= p:
-            dense.append((p, _expand(p, base, residues, values)))
-        else:
-            sparse.append((p, base, residues, values))
-    base_product = math.prod(base for _, base, _, _ in sparse)
-    width = min(count, _KERNEL_ENTRIES)
-    rows = max(1, _KERNEL_ENTRIES // width)
-    remainders = []
-    for first in range(0, len(moduli), rows):
-        block = moduli[first : first + rows]
-        m = np.array(block, dtype=np.int64)[:, None]
-        const = np.array([base_product % q for q in block], dtype=np.int64)[:, None]
-        inverses = modular_inverses(np.array([b for _, b, _, _ in sparse], dtype=np.int64), m)
-        # One (rows, 1) factor per correction residue: n_p(t) / base mod m.
-        factors = [
-            (p, residues.tolist(), values[:, None, None] * inverses[None, :, i, None] % m)
-            for i, (p, _, residues, values) in enumerate(sparse)
-        ]
-        total = np.zeros_like(m)
-        for lo in range(1, count + 1, width):
-            j = np.arange(lo, min(lo + width, count + 1), dtype=np.int64)
-            acc = np.repeat(const, j.size, axis=1)
-            for p, nums in dense:
-                acc *= nums[j % p]
-                acc %= m
-            for p, residues, values in factors:
-                for t, f in zip(residues, values):
-                    view = acc[:, (t - lo) % p :: p]
-                    view *= f
-                    view %= m
-            acc *= r - s * j
-            acc %= m
-            total = (total + acc.sum(axis=1, keepdims=True)) % m
-        remainders += total.ravel().tolist()
-    return crt_rebuild(remainders, moduli, product)
+        for t, v in zip(residues.tolist(), values.tolist()):
+            view = acc[(t - 1) % p :: p]
+            if v == 0:
+                view[:] = 0
+            else:
+                view *= v
+                view //= base
+    return int(np.dot(acc, np.arange(r - s, 0, -s).astype(object)))
 
 
 def _sigma_off_direct_exact(
@@ -385,8 +346,8 @@ def _sigma_off_direct_exact(
 def weighted_float_sum(tables, positions: int, stride: int, divisor: int, shift: float) -> float:
     """sum_{j=1}^{J} (R - s j) * (prod_p table_p[j mod p] / divisor - shift), in float64.
 
-    The float twin of _weighted_table_sum, with its R, s, J and sparse
-    (p, base, residues, values) tables. The product is prod base / p
+    The float64 counterpart of _weighted_table_sum, with its R, s, J and
+    sparse (p, base, residues, values) tables. The product is prod base / p
     times, for each p, value / base at each of its residues. A tau table
     of a k-tuple leaves p - 2|F| at no more than k(k-1) + 1 residues, so
     past the smallest primes the corrections are few, and they run as
@@ -455,7 +416,7 @@ def variance_decomposition(
     mu_N is the certified count (mu_source="observed", the default) or the
     mean-field expectation ("expected"). sigma_diag = mu (1 - mu/positions)
     over the position count. sigma_off is the weighted covariance sum: the
-    exact multimodular sum when positions <= EXACT_POSITION_LIMIT, else
+    exact Python-int sum when positions <= EXACT_POSITION_LIMIT, else
     the float64 blocked/surviving split, which also runs beside the exact
     sum as an independent check whenever the basis holds a blocking prime.
     The window end is capped at MAX_WINDOW_END, since the split builds

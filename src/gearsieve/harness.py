@@ -338,7 +338,7 @@ def write_table3(cfg: RunConfig) -> list[Path]:
 
 
 def run_figures(cfg: RunConfig) -> list[Path]:
-    """Emit the three figure data series as CSV files.
+    """Emit the three figure data series in each configured format.
 
     fig3's reference column is C * L^(-1/2) with C pinned so the reference
     meets the observed coefficient of variation at the first m0, which
@@ -355,17 +355,13 @@ def run_figures(cfg: RunConfig) -> list[Path]:
     scale = rows[0]["cv_observed"] * math.sqrt(rows[0]["L"])
     for row in rows:
         row["reference"] = scale / math.sqrt(row["L"])
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
     for name, header in (
         ("fig1_fano", FIGURE1_HEADER),
         ("fig2_counts", FIGURE2_HEADER),
         ("fig3_cv", FIGURE3_HEADER),
     ):
-        path = out_dir / f"{name}.csv"
-        write_csv(path, header, rows)
-        paths.append(path)
+        paths += _emit(cfg, name, header, rows)
     return paths
 
 

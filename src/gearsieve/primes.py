@@ -13,8 +13,8 @@ import math
 import numpy as np
 
 # The largest bound the table sieves to: a 10 MB mask and 5.3 MB of primes.
-# The supported windows need primes only to isqrt(MAX_WINDOW_END) and
-# the exact sums to isqrt(2^31); product_variance_constant needs 10^7.
+# The supported windows need primes only to isqrt(MAX_WINDOW_END);
+# product_variance_constant needs 10^7.
 MAX_PRIME_TABLE = 10**7
 
 _table: np.ndarray = np.empty(0, dtype=np.int64)

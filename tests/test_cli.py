@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import time
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -13,7 +14,9 @@ import pytest
 from gearsieve import cli, correlation, engine, fourier, harness, primes
 from gearsieve.cli import main
 from gearsieve.constellations import TWINS, Constellation, density_product, is_admissible
-from gearsieve.engine import MAX_FOURIER_PMAX, MAX_PRODUCT_PMAX, MAX_TAU_P, MAX_WINDOW_END
+from gearsieve.engine import (
+    MAX_FOURIER_PMAX, MAX_PRIME_N, MAX_PRODUCT_PMAX, MAX_TAU_P, MAX_WINDOW_END,
+)
 
 
 def test_seed_command(capsys):
@@ -131,6 +134,14 @@ def test_goldbach_empty_survivor_list_is_json_text(capsys):
     assert capsys.readouterr().out == want
 
 
+# the default-ladder figure files, in the order run_figures writes them
+_FIGURE_SHA256 = {
+    "fig1_fano.csv": "587fc189feef4b25de4f5e29fadbe54d918fbeaefa9a2b5f4ecd2af17a487254",
+    "fig2_counts.csv": "0cd4998a89ebe6aa6ffc095aae50031e4e5b84ead231fb5cb1d6d173a5f6d5dc",
+    "fig3_cv.csv": "ce613e0d284490b043e35e40e3fad2b54bc251164237134f8d16c668a9c824ad",
+}
+
+
 @pytest.mark.parametrize(
     "argv, name, sha256",
     [
@@ -144,12 +155,7 @@ def test_goldbach_empty_survivor_list_is_json_text(capsys):
          "655403efbc3c2f8b154922c1b56a93ddfdea75297084d5c8268c49129f1a6d54"),
         (["table1", "--tuple", "0,2,6"], "table1.csv",
          "d5641c0cf122d65ec23b4b3e0adc1ed3ec29c7a3017bddd8e3af28cb380c13ff"),
-        (["figures"], "fig1_fano.csv",
-         "587fc189feef4b25de4f5e29fadbe54d918fbeaefa9a2b5f4ecd2af17a487254"),
-        (["figures"], "fig2_counts.csv",
-         "0cd4998a89ebe6aa6ffc095aae50031e4e5b84ead231fb5cb1d6d173a5f6d5dc"),
-        (["figures"], "fig3_cv.csv",
-         "ce613e0d284490b043e35e40e3fad2b54bc251164237134f8d16c668a9c824ad"),
+        *[(["figures"], name, sha256) for name, sha256 in _FIGURE_SHA256.items()],
     ],
 )
 def test_sweep_files_are_unchanged(tmp_path, capsys, argv, name, sha256):
@@ -175,6 +181,13 @@ def test_sweeps_reject_bad_input_before_striding(tmp_path, capsys, command, argv
 
 
 _HUGE_M0 = "100000000001"
+# the commands whose bound is not a window end
+_PROBE_MESSAGES = {
+    "tau": f"tau supports primes up to {MAX_TAU_P}",
+    "fourier": f"pmax must be in [5, {MAX_FOURIER_PMAX}]",
+    "goldbach": f"goldbach count supports even integers up to {MAX_WINDOW_END}",
+    "prime": f"structural test supports n up to {MAX_PRIME_N}",
+}
 
 
 @pytest.mark.parametrize(
@@ -196,6 +209,13 @@ _HUGE_M0 = "100000000001"
         (lambda n: density_product(TWINS, n), 10**11),
         (lambda n: is_admissible(Constellation("far", (0, n))), 10**9),
         (primes.primes_upto, primes.MAX_PRIME_TABLE + 1),
+        ["tau", "--p", _HUGE_M0],
+        ["fourier", "--pmax", _HUGE_M0],
+        ["goldbach", "--even", str(int(_HUGE_M0) + 1)],
+        ["prime", str(MAX_PRIME_N + 1)],
+        ["table3", "--m0-list", _HUGE_M0],
+        ["fit", "--m0-list", f"{_HUGE_M0},100000000003,100000000005"],
+        ["equidist", "--m0", _HUGE_M0],
     ],
 )
 def test_huge_bounds_are_rejected_before_sieving(tmp_path, capsys, probe):
@@ -205,9 +225,10 @@ def test_huge_bounds_are_rejected_before_sieving(tmp_path, capsys, probe):
     began = time.perf_counter()
     with mock.patch.object(primes, "_rebuild", side_effect=AssertionError("sieved")):
         if isinstance(probe, list):
-            sweep = probe[0] in ("table1", "table2", "figures")
+            sweep = probe[0] in ("table1", "table2", "table3", "figures")
             assert main([*probe, *(["--out", str(tmp_path)] if sweep else [])]) == 2
-            assert "exceeds the supported" in capsys.readouterr().err
+            message = _PROBE_MESSAGES.get(probe[0], "exceeds the supported")
+            assert message in capsys.readouterr().err
         else:
             fn, bound = probe
             with pytest.raises(ValueError, match="supported|supports"):
@@ -437,6 +458,22 @@ def test_figures_command(tmp_path, capsys):
     capsys.readouterr()
     for name in ("fig1_fano.csv", "fig2_counts.csv", "fig3_cv.csv"):
         assert (tmp_path / name).exists()
+
+
+def test_figures_write_every_format(tmp_path, capsys):
+    # --format reaches the figure series as it does the tables; the CSVs
+    # keep their digests
+    assert main(["figures", "--out", str(tmp_path), "--format", "csv,json"]) == 0
+    printed = capsys.readouterr().out.split()
+    names = [f"{stem}.{ext}" for stem in ("fig1_fano", "fig2_counts", "fig3_cv")
+             for ext in ("csv", "json")]
+    assert [Path(path).name for path in printed] == names
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(names)
+    for name, sha256 in _FIGURE_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == sha256
+    row = json.loads((tmp_path / "fig2_counts.json").read_text())[2]
+    assert list(row) == ["m0", "count_observed", "count_theory"]
+    assert (row["m0"], row["count_observed"]) == (100, 197)
 
 
 def test_fit_command(capsys):

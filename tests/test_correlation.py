@@ -1,6 +1,7 @@
 """Exact local survival calculus and the count-moment decomposition."""
 
 import math
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -30,7 +31,7 @@ from gearsieve.correlation import (
     weighted_product_sum,
 )
 from gearsieve.engine import MAX_TAU_P, MAX_WINDOW_END, SieveBasis, Window, build_basis
-from gearsieve.exact import _primes_below_cap, crt_moduli, crt_rebuild, exact_float_sum
+from gearsieve.exact import exact_float_sum
 from gearsieve.primes import odd_primes_upto
 
 TRIPLE = Constellation("triple", (0, 2, 6))
@@ -397,9 +398,13 @@ def test_asymptotic_report():
 
 
 def _bigint_weighted_sum(constellation, primes, positions, stride):
-    # the Python bigint loop the multimodular kernel replaced: every
-    # multiple d of stride below positions, full product of tau numerators
-    tables = [(p, tau_numerators(constellation, p).tolist()) for p in primes]
+    # an oracle that shares no code with the exact kernel: p * tau_p(d)
+    # from the Fraction tau() at the distances the sum reads, then every
+    # multiple d of stride below positions as one full Python-int product
+    tables = [
+        (p, [int(p * tau(constellation, p, d).tau) for d in range(min(p, positions))])
+        for p in primes
+    ]
     total = 0
     for d in range(stride, positions, stride):
         term = 1
@@ -421,6 +426,12 @@ def _smallest_blocking(constellation, primes):
     integers(1, 3000),
     booleans(),
 )
+# (0, 2, 6) over the primes to 61 at 410 and 411 positions: kept from a
+# modular kernel whose modulus count stepped there
+@example({1, 3}, 61, 410, False)
+@example({1, 3}, 61, 410, True)
+@example({1, 3}, 61, 411, False)
+@example({1, 3}, 61, 411, True)
 def test_weighted_product_sum_matches_bigint_loop(halves, m0, positions, blocked_stride):
     constellation = Constellation("random", (0, *sorted(2 * h for h in halves)))
     assume(is_admissible(constellation).admissible)
@@ -445,48 +456,11 @@ def test_weighted_product_sum_named_tuples():
                 assert weighted_product_sum(constellation, primes, positions, stride) == want
 
 
-def test_weighted_product_sum_straddles_moduli_boundary():
-    # the fewest positions whose bound R^2 * prod p needs one more modulus:
-    # the sums on both sides of that step are exact
-    primes = [int(p) for p in odd_primes_upto(61)]
-    q = math.prod(primes)
-    moduli, product = crt_moduli(2 * 2 * q)
-    step = math.isqrt(product // q)
-    while step * step * q <= product:
-        step += 1
-    assert 2 < step <= 3000
-    for positions in (step - 1, step):
-        count = len(crt_moduli(positions * positions * q)[0])
-        assert count == len(moduli) + (positions == step)
-        want = _bigint_weighted_sum(TRIPLE, primes, positions, 1)
-        for stride in (1, 3):
-            assert weighted_product_sum(TRIPLE, primes, positions, stride) == want
-
-
-def test_crt_moduli_are_minimal():
-    moduli = _primes_below_cap(1 << 16)
-    for k in (1, 2, 7):
-        product = math.prod(moduli[:k])
-        assert crt_moduli(product - 1) == (moduli[:k], product)
-        assert crt_moduli(product)[0] == moduli[: k + 1]
-
-
-def test_crt_moduli_are_distinct_primes_below_cap():
-    moduli = np.array(_primes_below_cap(1 << 16), dtype=np.int64)
-    assert moduli.size > 2000
-    assert np.all(moduli < 2**31)
-    assert np.all(np.diff(moduli) < 0)
-    divisors = np.array([2, *odd_primes_upto(math.isqrt(2**31))], dtype=np.int64)
-    for block in np.array_split(moduli, 8):
-        assert not np.any(block[:, None] % divisors[None, :] == 0)
-
-
-def test_weighted_product_sum_large_basis_tiny_window(monkeypatch):
-    # m0 near 2000 needs about 90 moduli; a smaller work array splits them
-    # into many blocks
+def test_weighted_product_sum_large_basis_tiny_window():
+    # m0 near 2000: each entry is a product over 302 primes' tables, about
+    # 2800 bits, over only 49 distances
     primes = [int(p) for p in odd_primes_upto(1999)]
     positions = 50
-    assert len(crt_moduli(positions * positions * math.prod(primes))[0]) > 80
     want = _bigint_weighted_sum(TWINS, primes, positions, 1)
     report = variance_decomposition(build_basis(1999), Window(7, 106), TWINS, observed_count=3)
     assert report.positions == positions
@@ -494,24 +468,40 @@ def test_weighted_product_sum_large_basis_tiny_window(monkeypatch):
     assert report.sigma_off_direct == float(_sigma_off_direct_exact(TWINS, tables, positions, 1))
     for stride in (1, 3):
         assert weighted_product_sum(TWINS, primes, positions, stride) == want
-    monkeypatch.setattr(correlation, "_KERNEL_ENTRIES", 400)
-    for stride in (1, 3):
-        assert weighted_product_sum(TWINS, primes, positions, stride) == want
 
 
-def test_weighted_product_sum_splits_distances(monkeypatch):
-    # a work array shorter than the distance count splits it into chunks
+def test_weighted_product_sum_splits_distances():
+    # 699 distances, more than any prime's period here, so every residue
+    # slice of every prime holds several entries
     primes = [int(p) for p in odd_primes_upto(199)]
     positions = 700
     want = _bigint_weighted_sum(TRIPLE, primes, positions, 1)
-    for entries in (300, 64):
-        monkeypatch.setattr(correlation, "_KERNEL_ENTRIES", entries)
-        for stride in (1, 3):
-            assert weighted_product_sum(TRIPLE, primes, positions, stride) == want
+    for stride in (1, 3):
+        assert weighted_product_sum(TRIPLE, primes, positions, stride) == want
+
+
+def test_weighted_product_sum_rejects_positions_past_limit(monkeypatch):
+    # exact at the limit; past it, refused before any tau table or
+    # per-distance entry is built: at 10^9 positions the entries alone
+    # would take gigabytes
+    primes = [3, 5, 7]
+    want = _bigint_weighted_sum(TWINS, primes, EXACT_POSITION_LIMIT, 1)
+    for stride in (1, 3):
+        assert weighted_product_sum(TWINS, primes, EXACT_POSITION_LIMIT, stride) == want
+
+    def unreachable(*args):
+        raise AssertionError("the position limit was not checked first")
+
+    monkeypatch.setattr(correlation, "_tables_at_multiples", unreachable)
+    began = time.perf_counter()
+    for positions in (EXACT_POSITION_LIMIT + 1, 10**9):
+        with pytest.raises(ValueError, match=str(EXACT_POSITION_LIMIT)):
+            weighted_product_sum(TWINS, [int(p) for p in odd_primes_upto(29)], positions, 3)
+    assert time.perf_counter() - began < 1.0
 
 
 def test_sigma_off_split_float_matches_exact_sum():
-    # the float split against the exact multimodular sum at m0 = 500
+    # the float split against the exact Python-int sum at m0 = 500
     primes = [int(p) for p in odd_primes_upto(499)]
     positions = Window(7, 500 * 500).positions
     tables = _tables_at_multiples(TWINS, primes, 3)
