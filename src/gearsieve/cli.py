@@ -21,27 +21,25 @@ from .constellations import (
 )
 from .correlation import tau_table, variance_decomposition
 from .diophantine import canonical_seed, is_prime_candidate, structural_is_prime
-from .engine import (
-    MAX_FOURIER_PMAX,
-    MAX_PRIME_N,
-    Window,
-    certify,
-    composite_signal,
-    goldbach_count,
-)
+from .engine import MAX_FOURIER_PMAX, MAX_PRIME_N, Window, certify, composite_signal, goldbach_count
 from .errors import InvariantError
-from .fourier import tau_fourier, weighted_ergodic_sum
+from .fourier import fit_decay_exponent, tau_fourier, weighted_ergodic_sum
 from .harness import (
     DEFAULT_TABLE1_M0,
     DEFAULT_TABLE2_M0,
     DEFAULT_TABLE3_M0,
+    H_CONVENTIONS,
+    MEAN_SOURCES,
+    SURVIVOR_RANGES,
+    TABLE3_HEADER,
     Conventions,
     RunConfig,
-    fit_from_config,
-    format_cell,
+    fit_record,
     json_text,
     run_figures,
     sweep_basis,
+    table3_record,
+    write_csv,
     write_table1,
     write_table2,
     write_table3,
@@ -169,41 +167,26 @@ def _cmd_moments(args: argparse.Namespace) -> int:
     report = variance_decomposition(
         basis, window, _parse_offsets(args.tuple), mu_source=args.mu_source
     )
-    report.m0 = args.m0
-    _print_json(dataclasses.asdict(report))
+    _print_json({**dataclasses.asdict(report), "m0": args.m0})
     return 0
 
 
 def _cmd_equidist(args: argparse.Namespace) -> int:
     report = weighted_ergodic_sum(args.m0, convention=args.convention)
-    print("m0,L,weighted_sum,theory,rel_error_pct")
-    cells = (
-        report.m0,
-        report.L,
-        report.weighted_sum,
-        report.theory,
-        report.rel_error_pct,
-    )
-    print(",".join(format_cell(cell) for cell in cells))
+    write_csv(sys.stdout, TABLE3_HEADER, [table3_record(report)])
     return 0
 
 
 def _cmd_fourier(args: argparse.Namespace) -> int:
     if not 5 <= args.pmax <= MAX_FOURIER_PMAX:
         raise ValueError(f"pmax must be in [5, {MAX_FOURIER_PMAX}], got {args.pmax}")
-    print("p,k,closed,dft_re,dft_im")
-    for p in odd_primes_upto(args.pmax):
-        if p < 5:
-            continue
-        for row in tau_fourier(int(p)):
-            cells = (
-                row.p,
-                row.k,
-                row.coeff_closed,
-                row.coeff_dft.real,
-                row.coeff_dft.imag,
-            )
-            print(",".join(format_cell(cell) for cell in cells))
+    rows = (
+        {"p": row.p, "k": row.k, "closed": row.coeff_closed,
+         "dft_re": row.coeff_dft.real, "dft_im": row.coeff_dft.imag}
+        for p in odd_primes_upto(args.pmax) if p >= 5
+        for row in tau_fourier(int(p))
+    )
+    write_csv(sys.stdout, ("p", "k", "closed", "dft_re", "dft_im"), rows)
     return 0
 
 
@@ -225,48 +208,36 @@ def _cmd_goldbach(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_table1(args: argparse.Namespace) -> int:
-    cfg = _config_from(args, DEFAULT_TABLE1_M0)
-    for path in write_table1(cfg, diagnostic=args.diagnostic):
+def _print_paths(paths) -> int:
+    for path in paths:
         print(path)
     return 0
+
+
+def _cmd_table1(args: argparse.Namespace) -> int:
+    cfg = _config_from(args, DEFAULT_TABLE1_M0)
+    return _print_paths(write_table1(cfg, diagnostic=args.diagnostic))
 
 
 def _cmd_table2(args: argparse.Namespace) -> int:
-    cfg = _config_from(args, DEFAULT_TABLE2_M0)
-    for path in write_table2(cfg):
-        print(path)
-    return 0
+    return _print_paths(write_table2(_config_from(args, DEFAULT_TABLE2_M0)))
 
 
 def _cmd_table3(args: argparse.Namespace) -> int:
-    cfg = _config_from(args, DEFAULT_TABLE3_M0)
-    for path in write_table3(cfg):
-        print(path)
-    return 0
+    return _print_paths(write_table3(_config_from(args, DEFAULT_TABLE3_M0)))
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
-    cfg = _config_from(args, DEFAULT_TABLE2_M0)
-    for path in run_figures(cfg):
-        print(path)
-    return 0
+    return _print_paths(run_figures(_config_from(args, DEFAULT_TABLE2_M0)))
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
     m0_list = _parse_m0_list(args.m0_list) if args.m0_list else DEFAULT_TABLE3_M0
-    cfg = RunConfig(
-        m0_list=m0_list,
-        conventions=Conventions(h_convention=args.convention),
-    )
-    fit = fit_from_config(cfg)
-    _print_json(
-        {
-            "alpha": fit.alpha,
-            "intercept": fit.intercept,
-            "convention": args.convention,
-        }
-    )
+    # Checked before any ergodic sum runs.
+    if len(set(m0_list)) < 3:
+        raise ValueError("fit needs at least three distinct m0 values")
+    fit = fit_decay_exponent(m0_list, convention=args.convention)
+    _print_json(fit_record(fit, args.convention))
     return 0
 
 
@@ -341,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("equidist", help="weighted equidistribution sum at one m0")
     p.add_argument("--m0", type=int, required=True)
-    p.add_argument("--convention", choices=("appendix_c", "section4"),
+    p.add_argument("--convention", choices=H_CONVENTIONS,
                    default="appendix_c",
                    help="weight-table indexing (default: appendix_c)")
 
@@ -356,10 +327,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table1", help="signal statistics sweep")
     _add_sweep_flags(p)
-    p.add_argument("--mean-source", choices=("proper", "literal"),
+    p.add_argument("--mean-source", choices=MEAN_SOURCES,
                    default="proper",
                    help="signal variant for mean/var (default: proper)")
-    p.add_argument("--survivor-range", choices=("inclusive", "strict"),
+    p.add_argument("--survivor-range", choices=SURVIVOR_RANGES,
                    default="inclusive",
                    help="twin-count convention (default: inclusive)")
     p.add_argument("--diagnostic", action="store_true",
@@ -370,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table3", help="equidistribution sweep with decay fit")
     _add_sweep_flags(p, tuple_flag=False)
-    p.add_argument("--convention", choices=("appendix_c", "section4"),
+    p.add_argument("--convention", choices=H_CONVENTIONS,
                    default="appendix_c",
                    help="weight-table indexing (default: appendix_c)")
 
@@ -380,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="decay-exponent fit over an m0 ladder")
     p.add_argument("--m0-list", default=None,
                    help="comma-separated m0 values (default: built-in ladder)")
-    p.add_argument("--convention", choices=("appendix_c", "section4"),
+    p.add_argument("--convention", choices=H_CONVENTIONS,
                    default="appendix_c",
                    help="weight-table indexing (default: appendix_c)")
 

@@ -55,9 +55,12 @@ class LocalSurvival:
     case_label: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class MomentReport:
     """Count moments of a certified window and the derived ratios.
+
+    m0 is the basis bound, so an even sweep value reports the odd bound
+    below it; `gearsieve moments` prints the m0 it was given in its place.
 
     sigma_off carries the preferred off-diagonal estimate. sigma_off_direct
     is the exact sum, set when positions <= EXACT_POSITION_LIMIT;

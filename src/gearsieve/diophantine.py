@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import MAX_PRIME_N
+from .engine import MAX_PRIME_N, MAX_WINDOW_END
 
 # Moduli per block of the vectorized gear test.
 _PRIME_BLOCK = 4096
@@ -73,8 +73,14 @@ def gear_sequence(seed: CanonicalSeed) -> list[Gear]:
     """All gears of a candidate seed, moduli descending m0, m0-2, ..., 3.
 
     The moduli sweep exactly the odd integers in [3, m0], so every odd
-    prime up to m0 appears as some gear's modulus.
+    prime up to m0 appears as some gear's modulus. m0 is at most
+    isqrt(MAX_WINDOW_END) = 31622, the largest basis bound of a supported
+    window, checked before any gear is built: at most 15,810 gears, about
+    3 MB.
     """
+    top = math.isqrt(MAX_WINDOW_END)
+    if seed.m0 > top:
+        raise ValueError(f"gear sequence supports m0 up to {top}, got m0={seed.m0}")
     if seed.m0 % 2 == 0:
         raise ValueError(f"gear sequence needs odd m0, got m0={seed.m0}")
     gears = []

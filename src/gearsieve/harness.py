@@ -1,8 +1,10 @@
 """Sweep orchestration: table regeneration, figure data files, decay fit.
 
-Every run is a pure function of its configuration: reruns produce
+Every row is a pure function of (RunConfig, m0): reruns produce
 byte-identical files, and the worker count only changes wall time, never
-output. Rows are always written in ascending m0 order.
+output. Rows are always written in ascending m0 order, and every CSV,
+the sweeps' files and the `equidist` and `fourier` stdout alike, goes
+through write_csv.
 
 table1 and figure rows take their statistics from one streamed pass over
 the window (`signal_sums`): exact integer sums and zero counts under both
@@ -12,11 +14,14 @@ a mask trace.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -25,7 +30,7 @@ from .correlation import fano_theoretical, mean_field, variance_decomposition
 from .engine import (
     MAX_WINDOW_END, SieveBasis, Window, build_basis, certify, composite_signal, signal_sums,
 )
-from .fourier import FitResult, fit_decay_exponent, weighted_ergodic_sum
+from .fourier import EquidistReport, FitResult, fit_decay_exponent, weighted_ergodic_sum
 
 MEAN_SOURCES = ("proper", "literal")
 SURVIVOR_RANGES = ("inclusive", "strict")
@@ -66,21 +71,14 @@ class Conventions:
     h_convention: str = "appendix_c"
 
     def __post_init__(self) -> None:
-        if self.table1_mean_source not in MEAN_SOURCES:
-            raise ValueError(
-                f"table1_mean_source must be one of {MEAN_SOURCES}, "
-                f"got {self.table1_mean_source!r}"
-            )
-        if self.survivor_range not in SURVIVOR_RANGES:
-            raise ValueError(
-                f"survivor_range must be one of {SURVIVOR_RANGES}, "
-                f"got {self.survivor_range!r}"
-            )
-        if self.h_convention not in H_CONVENTIONS:
-            raise ValueError(
-                f"h_convention must be one of {H_CONVENTIONS}, "
-                f"got {self.h_convention!r}"
-            )
+        for name, choices in (
+            ("table1_mean_source", MEAN_SOURCES),
+            ("survivor_range", SURVIVOR_RANGES),
+            ("h_convention", H_CONVENTIONS),
+        ):
+            value = getattr(self, name)
+            if value not in choices:
+                raise ValueError(f"{name} must be one of {choices}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -130,12 +128,12 @@ def _ratio(var: float, mean: float, m0: int, window: Window) -> float:
     return var / mean
 
 
-def _table1_row(args: tuple) -> dict:
-    m0, constellation, anchor, conventions = args
-    window = Window.for_capacity(m0, anchor)
-    sums = signal_sums(sweep_basis(m0), window, constellation)
-    mean, var = sums.moments(proper=conventions.table1_mean_source == "proper")
-    twins = sums.inclusive if conventions.survivor_range == "inclusive" else sums.strict
+def _table1_row(cfg: RunConfig, m0: int) -> dict:
+    basis = sweep_basis(m0)
+    window = Window.for_capacity(m0, cfg.anchor)
+    sums = signal_sums(basis, window, cfg.constellation)
+    mean, var = sums.moments(proper=cfg.conventions.table1_mean_source == "proper")
+    twins = sums.inclusive if cfg.conventions.survivor_range == "inclusive" else sums.strict
     return {
         "m0": m0,
         "window": m0 * m0,
@@ -148,14 +146,13 @@ def _table1_row(args: tuple) -> dict:
     }
 
 
-def _table2_row(args: tuple) -> dict:
-    m0, constellation, anchor = args
+def _table2_row(cfg: RunConfig, m0: int) -> dict:
     basis = sweep_basis(m0)
-    window = Window.for_capacity(m0, anchor)
-    trace = composite_signal(basis, window, constellation, mode="mask")
+    window = Window.for_capacity(m0, cfg.anchor)
+    trace = composite_signal(basis, window, cfg.constellation, mode="mask")
     count = certify(trace).count
     report = variance_decomposition(
-        basis, window, constellation, observed_count=count
+        basis, window, cfg.constellation, observed_count=count
     )
     return {
         "m0": m0,
@@ -168,23 +165,19 @@ def _table2_row(args: tuple) -> dict:
     }
 
 
-def _table3_row(args: tuple) -> dict:
-    m0, h_convention = args
-    report = weighted_ergodic_sum(m0, convention=h_convention)
-    return {
-        "m0": m0,
-        "L": report.L,
-        "weighted_sum": report.weighted_sum,
-        "theory": report.theory,
-        "rel_error_pct": report.rel_error_pct,
-    }
+def table3_record(report: EquidistReport) -> dict:
+    """The TABLE3_HEADER cells of one equidistribution report."""
+    return {name: getattr(report, name) for name in TABLE3_HEADER}
 
 
-def _figure_row(args: tuple) -> dict:
-    m0, constellation, anchor = args
+def _table3_row(cfg: RunConfig, m0: int) -> dict:
+    return table3_record(weighted_ergodic_sum(m0, convention=cfg.conventions.h_convention))
+
+
+def _figure_row(cfg: RunConfig, m0: int) -> dict:
     basis = sweep_basis(m0)
-    window = Window.for_capacity(m0, anchor)
-    sums = signal_sums(basis, window, constellation)
+    window = Window.for_capacity(m0, cfg.anchor)
+    sums = signal_sums(basis, window, cfg.constellation)
     mean, var = sums.moments(proper=True)
     count = sums.strict
     return {
@@ -193,62 +186,63 @@ def _figure_row(args: tuple) -> dict:
         "fano_observed": _ratio(var, mean, m0, window),
         "fano_theoretical": fano_theoretical(basis.m0),
         "count_observed": count,
-        "count_theory": mean_field(constellation, basis.m0, window.positions),
+        "count_theory": mean_field(cfg.constellation, basis.m0, window.positions),
         "cv_observed": 1.0 / math.sqrt(count) if count > 0 else math.inf,
     }
 
 
-def _sweep(row_fn, arg_list: list[tuple], workers: int) -> list[dict]:
-    """Run one row job per m0, sorted by m0, on at most one process per row and CPU."""
-    workers = min(workers, len(arg_list), os.cpu_count() or 1)
+def _sweep(row_fn, cfg: RunConfig) -> list[dict]:
+    """row_fn(cfg, m0) for every m0 of the sweep, sorted by m0.
+
+    A row depends on (cfg, m0) alone, so the rows may run on a pool of
+    at most one process per row and CPU, up to cfg.workers, and the
+    worker count changes wall time, never output.
+    """
+    workers = min(cfg.workers, len(cfg.m0_list), os.cpu_count() or 1)
     if workers > 1:
         # Imported only here: multiprocessing adds about 1 MB of memory and
         # 20 ms of start-up to every process that imports it.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(row_fn, arg_list))
+            rows = list(pool.map(functools.partial(row_fn, cfg), cfg.m0_list))
     else:
-        rows = [row_fn(a) for a in arg_list]
+        rows = [row_fn(cfg, m0) for m0 in cfg.m0_list]
     rows.sort(key=lambda row: row["m0"])
     return rows
 
 
 def run_table1(cfg: RunConfig) -> list[dict]:
     """Signal-statistics rows: window size, twin count, mean, var, ratio."""
-    args = [
-        (m0, cfg.constellation, cfg.anchor, cfg.conventions) for m0 in cfg.m0_list
-    ]
-    return _sweep(_table1_row, args, cfg.workers)
+    return _sweep(_table1_row, cfg)
 
 
 def run_table2(cfg: RunConfig) -> list[dict]:
     """Certified counts with the diagonal/off-diagonal variance split."""
-    args = [(m0, cfg.constellation, cfg.anchor) for m0 in cfg.m0_list]
-    return _sweep(_table2_row, args, cfg.workers)
+    return _sweep(_table2_row, cfg)
+
+
+def fit_record(fit: FitResult, convention: str) -> dict:
+    """A decay fit as run_table3 appends it and `gearsieve fit` prints it."""
+    return {"alpha": fit.alpha, "intercept": fit.intercept, "convention": convention}
 
 
 def run_table3(cfg: RunConfig) -> list[dict]:
     """Weighted equidistribution rows, plus a trailing fit record.
 
-    The fit record {"alpha", "intercept", "convention"} is appended when
-    the sweep holds at least three distinct m0 values; it is kept out of
-    the fixed-schema CSV and lands in a companion JSON file instead.
+    Each row is table3_record of one m0's report. The fit_record
+    {"alpha", "intercept", "convention"} is appended when the sweep holds
+    at least three distinct m0 values; it is fitted to the rows' own
+    errors, kept out of the fixed-schema CSV and written to a companion
+    JSON file instead.
     """
-    args = [(m0, cfg.conventions.h_convention) for m0 in cfg.m0_list]
-    rows = _sweep(_table3_row, args, cfg.workers)
+    rows = _sweep(_table3_row, cfg)
     if len(set(cfg.m0_list)) >= 3:
         fit = fit_decay_exponent(
             [row["m0"] for row in rows],
             errors=[row["rel_error_pct"] for row in rows],
         )
-        rows.append(
-            {
-                "alpha": fit.alpha,
-                "intercept": fit.intercept,
-                "convention": cfg.conventions.h_convention,
-            }
-        )
+        rows.append(fit_record(fit, cfg.conventions.h_convention))
     return rows
 
 
@@ -263,11 +257,16 @@ def format_cell(value) -> str:
     return str(value)
 
 
-def write_csv(path: Path, header: tuple[str, ...], rows: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(format_cell(row[name]) for name in header) + "\n")
+def write_csv(fh: TextIO, header: tuple[str, ...], rows: Iterable[dict]) -> None:
+    """Write header, then each row's header cells by format_cell, to a text stream.
+
+    The one CSV writer: the sweep files (through _emit), and the stdout
+    of `equidist` and `fourier`. Lines end in a bare newline; rows may be
+    a generator, written as it yields.
+    """
+    fh.write(",".join(header) + "\n")
+    for row in rows:
+        fh.write(",".join(format_cell(row[name]) for name in header) + "\n")
 
 
 def _finite(payload):
@@ -306,7 +305,8 @@ def _emit(cfg: RunConfig, name: str, header: tuple[str, ...],
     paths = []
     if "csv" in cfg.formats:
         path = out_dir / f"{name}.csv"
-        write_csv(path, header, rows)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            write_csv(fh, header, rows)
         paths.append(path)
     if "json" in cfg.formats:
         path = out_dir / f"{name}.json"
@@ -345,8 +345,7 @@ def run_figures(cfg: RunConfig) -> list[Path]:
     needs a positive count there. Every check runs before any file is
     written.
     """
-    args = [(m0, cfg.constellation, cfg.anchor) for m0 in cfg.m0_list]
-    rows = _sweep(_figure_row, args, cfg.workers)
+    rows = _sweep(_figure_row, cfg)
     if rows[0]["count_observed"] == 0:
         raise ValueError(
             f"fig3 pins its reference at the first m0 ({rows[0]['m0']}), "
@@ -364,11 +363,3 @@ def run_figures(cfg: RunConfig) -> list[Path]:
         paths += _emit(cfg, name, header, rows)
     return paths
 
-
-def fit_from_config(cfg: RunConfig) -> FitResult:
-    """Decay-exponent fit over the configured ladder."""
-    if len(set(cfg.m0_list)) < 3:
-        raise ValueError("fit needs at least three distinct m0 values")
-    return fit_decay_exponent(
-        list(cfg.m0_list), convention=cfg.conventions.h_convention
-    )

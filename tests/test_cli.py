@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import math
+import re
 import time
 from pathlib import Path
 from unittest import mock
@@ -11,6 +12,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import gearsieve
 from gearsieve import cli, correlation, engine, fourier, harness, primes
 from gearsieve.cli import main
 from gearsieve.constellations import TWINS, Constellation, density_product, is_admissible
@@ -237,6 +239,119 @@ def test_huge_bounds_are_rejected_before_sieving(tmp_path, capsys, probe):
     assert not any(tmp_path.iterdir())
 
 
+_BIG_WINDOW = engine.Window(7, 2 * 10**9)
+_BIG_P = 10**11 + 3
+_BIG_M0 = (10**11 + 1, 10**11 + 3, 10**11 + 5)
+_WINDOW_MESSAGE = f"window end 2000000000 exceeds the supported {MAX_WINDOW_END}"
+_TAU_MESSAGE = f"tau supports primes up to {MAX_TAU_P}"
+_M0_MESSAGE = "m0^2 = 10000000000200000000001 exceeds the supported window end"
+_SWEEP_MESSAGE = f"window end 10000000000200000000001 exceeds the supported {MAX_WINDOW_END}"
+# public callable -> (a too-large call, given a small basis; its message)
+_PUBLIC_PROBES = {
+    "gear_sequence": (
+        lambda basis: gearsieve.gear_sequence(gearsieve.canonical_seed(10**12)),
+        "gear sequence supports m0 up to 31622",
+    ),
+    "classical_oracle_count": (
+        lambda basis: engine.classical_oracle_count(_BIG_WINDOW, TWINS), _WINDOW_MESSAGE,
+    ),
+    "composite_signal": (
+        lambda basis: engine.composite_signal(basis, _BIG_WINDOW, TWINS, mode="mask"),
+        _WINDOW_MESSAGE,
+    ),
+    "signal_sums": (lambda basis: engine.signal_sums(basis, _BIG_WINDOW, TWINS), _WINDOW_MESSAGE),
+    "variance_decomposition": (
+        lambda basis: correlation.variance_decomposition(basis, _BIG_WINDOW, TWINS),
+        _WINDOW_MESSAGE,
+    ),
+    "signal_values": (
+        lambda basis: engine.signal_values(7, 10**10, basis.primes, (0, 2)),
+        f"position count 10000000000 exceeds the supported {MAX_WINDOW_END // 2}",
+    ),
+    "goldbach_count": (
+        lambda basis: engine.goldbach_count(10**10),
+        f"goldbach count supports even integers up to {MAX_WINDOW_END}",
+    ),
+    "structural_is_prime": (
+        lambda basis: gearsieve.structural_is_prime(10**17 + 3),
+        f"structural test supports n up to {MAX_PRIME_N}",
+    ),
+    "tau": (lambda basis: correlation.tau(TWINS, _BIG_P, 1), _TAU_MESSAGE),
+    "tau_table": (lambda basis: correlation.tau_table(TWINS, _BIG_P), _TAU_MESSAGE),
+    "tau_fourier": (lambda basis: fourier.tau_fourier(_BIG_P), _TAU_MESSAGE),
+    "variance_stats": (lambda basis: fourier.variance_stats(_BIG_P), _TAU_MESSAGE),
+    "universal_average": (
+        lambda basis: correlation.universal_average(TWINS, _BIG_P), _TAU_MESSAGE,
+    ),
+    "torus_average": (
+        lambda basis: engine.torus_average([_BIG_P], TWINS),
+        f"residue ring {_BIG_P} too large to enumerate",
+    ),
+    "crt_average": (
+        lambda basis: correlation.crt_average(TWINS, [_BIG_P]),
+        f"period {_BIG_P} too large to enumerate",
+    ),
+    "two_prime_checks": (
+        lambda basis: fourier.two_prime_checks(10**6 + 3, 10**6 + 33),
+        f"product {(10**6 + 3) * (10**6 + 33)} too large",
+    ),
+    "weighted_exp_sum": (
+        lambda basis: fourier.weighted_exp_sum(0.25, 10**10),
+        f"weighted exponential sum supports L <= {MAX_WINDOW_END}",
+    ),
+    "weighted_ergodic_sum": (lambda basis: fourier.weighted_ergodic_sum(_BIG_M0[0]), _M0_MESSAGE),
+    "fit_decay_exponent": (lambda basis: fourier.fit_decay_exponent(_BIG_M0), _M0_MESSAGE),
+    "goldbach_oscillating_factor": (
+        lambda basis: gearsieve.goldbach_oscillating_factor(10, 10**11),
+        f"prime bound 100000000000 exceeds the supported {primes.MAX_PRIME_TABLE}",
+    ),
+    "run_table1": (
+        lambda basis: harness.run_table1(harness.RunConfig(m0_list=_BIG_M0[:1])), _SWEEP_MESSAGE,
+    ),
+    "run_table2": (
+        lambda basis: harness.run_table2(harness.RunConfig(m0_list=_BIG_M0[:1])), _SWEEP_MESSAGE,
+    ),
+    "run_table3": (lambda basis: harness.run_table3(harness.RunConfig(m0_list=_BIG_M0)), _M0_MESSAGE),
+}
+# public callables that test_huge_bounds_are_rejected_before_sieving probes
+_PROBED_ABOVE = (
+    "asymptotic_report", "build_basis", "density_product", "fano_theoretical",
+    "is_admissible", "mean_field", "product_variance_constant",
+)
+# public functions with no argument that sizes their work: O(1) in it, or
+# bounded by an input a probed function made (certify's trace) or by the
+# data handed in (fit_power_law's points)
+_SIZE_INDEPENDENT = (
+    "canonical_seed", "certify", "first_candidate_above", "fit_power_law",
+    "is_prime_candidate", "omega",
+)
+
+
+@pytest.mark.parametrize("name", sorted(_PUBLIC_PROBES))
+def test_public_callables_reject_huge_arguments(name):
+    call, message = _PUBLIC_PROBES[name]
+    basis = engine.build_basis(31)
+    began = time.perf_counter()
+    with mock.patch.object(primes, "_rebuild", side_effect=AssertionError("sieved")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(basis)
+    assert time.perf_counter() - began < 1.0
+
+
+def test_every_public_callable_is_probed_or_size_independent():
+    # a new public function with no probe fails here; classes are records
+    # (and InvariantError), whose constructors do no work that grows
+    unlisted = [
+        name for name in gearsieve.__all__
+        if callable(getattr(gearsieve, name))
+        and not isinstance(getattr(gearsieve, name), type)
+        and name not in (*_PUBLIC_PROBES, *_PROBED_ABOVE, *_SIZE_INDEPENDENT)
+    ]
+    assert unlisted == []
+    listed = (*_PUBLIC_PROBES, *_PROBED_ABOVE, *_SIZE_INDEPENDENT)
+    assert len(set(listed)) == len(listed) and set(listed) <= set(gearsieve.__all__)
+
+
 def test_prime_table_growth_stops_at_its_bound(monkeypatch):
     # the table doubles its bound on growth, but never past MAX_PRIME_TABLE
     grown = []
@@ -337,6 +452,36 @@ def test_equidist_command(capsys):
     cells = lines[1].split(",")
     assert cells[0] == "30" and cells[1] == "900"
     assert abs(float(cells[2]) - 5279.37) < 0.01
+
+
+@pytest.mark.parametrize(
+    "argv, sha256",
+    [
+        (["equidist", "--m0", "1000"],
+         "4114aff966ae1733c939de513140231b910ecdac731a0b240ffad0f0c7855a77"),
+        (["equidist", "--m0", "1000", "--convention", "section4"],
+         "b65e3d802665e9a453c5d28eb18159af7d78fa121850ec2a9145890fc5455f16"),
+        (["moments", "--m0", "200"],
+         "04901f6cb4f30775d414fdf6d690cb418b50be3385431fe295e43e89c1ab9a79"),
+        (["moments", "--m0", "200", "--tuple", "0,2,6"],
+         "73abc2e97976396a935224f0f29f214d09aa3a78b1a44c92b78ee23bb161197f"),
+    ],
+)
+def test_report_stdout_is_unchanged(capsys, argv, sha256):
+    # digests of the stdout written when equidist formatted its cells by
+    # hand and moments assigned the requested m0 into its report
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
+
+
+def test_fit_prints_the_table3_fit_file(tmp_path, capsys):
+    # one fit record for both; the fit's last digits come from np.polyfit,
+    # so the two are compared with each other, not with a digest
+    assert main(["fit"]) == 0
+    printed = capsys.readouterr().out
+    assert main(["table3", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert printed == (tmp_path / "table3_fit.json").read_text()
 
 
 def test_float_sum_commands_past_window_cap_exit_two(capsys):

@@ -1,6 +1,7 @@
 """Canonical seed decomposition, gear sequences, structural primality."""
 
 import math
+import time
 from unittest import mock
 
 import pytest
@@ -14,7 +15,7 @@ from gearsieve.diophantine import (
     is_prime_candidate,
     structural_is_prime,
 )
-from gearsieve.engine import MAX_PRIME_N
+from gearsieve.engine import MAX_PRIME_N, MAX_WINDOW_END
 
 MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -135,6 +136,19 @@ def test_gear_sequence_rejects_even_m0():
     s = canonical_seed(6)  # m0 = 2, even
     with pytest.raises(ValueError):
         gear_sequence(s)
+
+
+def test_gear_sequence_stops_at_the_largest_basis_bound():
+    # isqrt(MAX_WINDOW_END) = 31622 bounds every supported basis; past it
+    # the seed is refused before any gear is built (n = 10^12 would ask
+    # for about 1.7e11 gears)
+    top = math.isqrt(MAX_WINDOW_END)
+    assert len(gear_sequence(canonical_seed(3 * (top - 1) + 2))) == (top - 1) // 2
+    began = time.perf_counter()
+    for n in (3 * (top + 1) + 2, 10**12):
+        with pytest.raises(ValueError, match=f"gear sequence supports m0 up to {top}"):
+            gear_sequence(canonical_seed(n))
+    assert time.perf_counter() - began < 1.0
 
 
 def test_structural_primality_examples():

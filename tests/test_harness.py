@@ -9,7 +9,6 @@ from unittest import mock
 import pytest
 
 from gearsieve import harness
-from gearsieve.constellations import TWINS
 from gearsieve.engine import Window
 from gearsieve.harness import (
     TABLE1_HEADER,
@@ -90,7 +89,7 @@ def test_table1_row_peak_memory_below_a_byte_per_position():
     window = Window.for_capacity(4001)
     tracemalloc.start()
     try:
-        row = _table1_row((4001, TWINS, 7, Conventions()))
+        row = _table1_row(RunConfig(m0_list=(4001,)), 4001)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
