@@ -19,16 +19,15 @@ from .constellations import (
     Constellation,
     is_admissible,
 )
-from .correlation import tau_table, variance_decomposition
+from .correlation import MU_SOURCES, tau_table, variance_decomposition
 from .diophantine import canonical_seed, is_prime_candidate, structural_is_prime
 from .engine import MAX_FOURIER_PMAX, MAX_PRIME_N, Window, certify, composite_signal, goldbach_count
 from .errors import InvariantError
-from .fourier import fit_decay_exponent, tau_fourier, weighted_ergodic_sum
+from .fourier import H_CONVENTIONS, fit_decay_exponent, tau_fourier, weighted_ergodic_sum
 from .harness import (
     DEFAULT_TABLE1_M0,
     DEFAULT_TABLE2_M0,
     DEFAULT_TABLE3_M0,
-    H_CONVENTIONS,
     MEAN_SOURCES,
     SURVIVOR_RANGES,
     TABLE3_HEADER,
@@ -50,6 +49,11 @@ _NAMED_TUPLES = {(0, 2): TWINS, (0, 4): COUSINS, (0, 6): SEXY}
 # Survivor starts per write (scan's file, goldbach's JSON list), so the
 # text of the whole list is never held.
 _SURVIVOR_CHUNK = 1 << 16
+# The flags that fill a RunConfig default to its fields' defaults, so each
+# default is stated once, in the dataclasses.
+_RUN_DEFAULTS = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+_CONVENTIONS = Conventions()
+_TUPLE_DEFAULT = ",".join(map(str, _RUN_DEFAULTS["constellation"].offsets))
 
 
 def _parse_offsets(text: str) -> Constellation:
@@ -77,15 +81,15 @@ def _parse_formats(text: str) -> tuple[str, ...]:
 
 def _config_from(args: argparse.Namespace, default_m0: tuple[int, ...]) -> RunConfig:
     conventions = Conventions(
-        table1_mean_source=getattr(args, "mean_source", "proper"),
-        survivor_range=getattr(args, "survivor_range", "inclusive"),
-        h_convention=getattr(args, "convention", "appendix_c"),
+        table1_mean_source=getattr(args, "mean_source", _CONVENTIONS.table1_mean_source),
+        survivor_range=getattr(args, "survivor_range", _CONVENTIONS.survivor_range),
+        h_convention=getattr(args, "convention", _CONVENTIONS.h_convention),
     )
     m0_list = _parse_m0_list(args.m0_list) if args.m0_list else default_m0
     return RunConfig(
         m0_list=m0_list,
-        constellation=_parse_offsets(getattr(args, "tuple", "0,2")),
-        anchor=getattr(args, "anchor", 7),
+        constellation=_parse_offsets(getattr(args, "tuple", _TUPLE_DEFAULT)),
+        anchor=getattr(args, "anchor", _RUN_DEFAULTS["anchor"]),
         conventions=conventions,
         workers=args.workers,
         output_dir=args.out,
@@ -241,20 +245,31 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_sweep_flags(sub: argparse.ArgumentParser, *, tuple_flag: bool = True) -> None:
+def _add_shared_flags(sub: argparse.ArgumentParser, *flags: str) -> None:
+    """Add the named flags that several commands take, each with its one
+    default and help text."""
+    specs = {
+        "--tuple": dict(default=_TUPLE_DEFAULT,
+                        help="offset pattern, comma-separated (default: %(default)s)"),
+        "--anchor": dict(type=int, default=_RUN_DEFAULTS["anchor"],
+                         help="window anchor, >= 5 and coprime to 6 (default: %(default)s)"),
+        "--convention": dict(choices=H_CONVENTIONS, default=_CONVENTIONS.h_convention,
+                             help="weight-table indexing (default: %(default)s)"),
+    }
+    for flag in flags:
+        sub.add_argument(flag, **specs[flag])
+
+
+def _add_sweep_flags(sub: argparse.ArgumentParser, *flags: str) -> None:
     sub.add_argument("--m0-list", default=None,
                      help="comma-separated m0 values (default: built-in ladder)")
-    if tuple_flag:
-        sub.add_argument("--tuple", default="0,2",
-                         help="offset pattern, comma-separated (default: 0,2)")
-        sub.add_argument("--anchor", type=int, default=7,
-                         help="window anchor, >= 5 and coprime to 6 (default: 7)")
-    sub.add_argument("--workers", type=int, default=1,
-                     help="parallel jobs across m0 values (default: 1)")
-    sub.add_argument("--out", default=".",
+    _add_shared_flags(sub, *flags)
+    sub.add_argument("--workers", type=int, default=_RUN_DEFAULTS["workers"],
+                     help="parallel jobs across m0 values (default: %(default)s)")
+    sub.add_argument("--out", default=_RUN_DEFAULTS["output_dir"],
                      help="output directory (default: current directory)")
-    sub.add_argument("--format", default="csv",
-                     help="output formats, comma-separated csv,json (default: csv)")
+    sub.add_argument("--format", default=",".join(_RUN_DEFAULTS["formats"]),
+                     help="output formats, comma-separated csv,json (default: %(default)s)")
 
 
 @functools.cache
@@ -278,10 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="certified constellation count over a window")
     p.add_argument("--m0", type=int, required=True,
                    help="basis bound; window is [anchor, m0^2)")
-    p.add_argument("--anchor", type=int, default=7,
-                   help="window anchor, >= 5 and coprime to 6 (default: 7)")
-    p.add_argument("--tuple", default="0,2",
-                   help="offset pattern (default: 0,2)")
+    _add_shared_flags(p, "--anchor", "--tuple")
     p.add_argument("--survivors", default=None, metavar="PATH",
                    help="also write surviving start values, one per line")
     p.add_argument("--segments", type=int, default=1,
@@ -291,8 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tau", help="per-distance survival table for one prime")
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--tuple", default="0,2",
-                   help="offset pattern (default: 0,2)")
+    _add_shared_flags(p, "--tuple")
 
     p = sub.add_parser(
         "moments",
@@ -302,19 +313,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "variance, for instance) is written as null.",
     )
     p.add_argument("--m0", type=int, required=True)
-    p.add_argument("--tuple", default="0,2",
-                   help="offset pattern (default: 0,2)")
-    p.add_argument("--anchor", type=int, default=7,
-                   help="window anchor, >= 5 and coprime to 6 (default: 7)")
-    p.add_argument("--mu-source", choices=("observed", "expected"),
-                   default="observed",
-                   help="mean source for the report (default: observed)")
+    _add_shared_flags(p, "--tuple", "--anchor")
+    p.add_argument("--mu-source", choices=MU_SOURCES, default=MU_SOURCES[0],
+                   help="mean source for the report (default: %(default)s)")
 
     p = sub.add_parser("equidist", help="weighted equidistribution sum at one m0")
     p.add_argument("--m0", type=int, required=True)
-    p.add_argument("--convention", choices=H_CONVENTIONS,
-                   default="appendix_c",
-                   help="weight-table indexing (default: appendix_c)")
+    _add_shared_flags(p, "--convention")
 
     p = sub.add_parser("fourier", help="closed-form vs DFT coefficient table")
     p.add_argument("--pmax", type=int, required=True,
@@ -326,34 +331,29 @@ def build_parser() -> argparse.ArgumentParser:
                    help="include the surviving first members")
 
     p = sub.add_parser("table1", help="signal statistics sweep")
-    _add_sweep_flags(p)
+    _add_sweep_flags(p, "--tuple", "--anchor")
     p.add_argument("--mean-source", choices=MEAN_SOURCES,
-                   default="proper",
-                   help="signal variant for mean/var (default: proper)")
+                   default=_CONVENTIONS.table1_mean_source,
+                   help="signal variant for mean/var (default: %(default)s)")
     p.add_argument("--survivor-range", choices=SURVIVOR_RANGES,
-                   default="inclusive",
-                   help="twin-count convention (default: inclusive)")
+                   default=_CONVENTIONS.survivor_range,
+                   help="twin-count convention (default: %(default)s)")
     p.add_argument("--diagnostic", action="store_true",
                    help="emit both twin-count conventions side by side")
 
     p = sub.add_parser("table2", help="variance decomposition sweep")
-    _add_sweep_flags(p)
+    _add_sweep_flags(p, "--tuple", "--anchor")
 
     p = sub.add_parser("table3", help="equidistribution sweep with decay fit")
-    _add_sweep_flags(p, tuple_flag=False)
-    p.add_argument("--convention", choices=H_CONVENTIONS,
-                   default="appendix_c",
-                   help="weight-table indexing (default: appendix_c)")
+    _add_sweep_flags(p, "--convention")
 
     p = sub.add_parser("figures", help="figure data series, one file per series and format")
-    _add_sweep_flags(p)
+    _add_sweep_flags(p, "--tuple", "--anchor")
 
     p = sub.add_parser("fit", help="decay-exponent fit over an m0 ladder")
     p.add_argument("--m0-list", default=None,
                    help="comma-separated m0 values (default: built-in ladder)")
-    p.add_argument("--convention", choices=H_CONVENTIONS,
-                   default="appendix_c",
-                   help="weight-table indexing (default: appendix_c)")
+    _add_shared_flags(p, "--convention")
 
     return parser
 

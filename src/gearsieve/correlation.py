@@ -36,6 +36,9 @@ from .primes import is_prime_trial, odd_primes_upto
 # Windows with at most this many positions get the exact covariance sum
 # (weighted_product_sum); larger windows get the float64 split alone.
 EXACT_POSITION_LIMIT = 20_000
+# Where variance_decomposition takes mu_N from: the certified count or the
+# mean-field expectation.
+MU_SOURCES = ("observed", "expected")
 # Entries of each chunk of the float sums' arrays.
 _SUM_CHUNK = 1 << 20
 
@@ -425,7 +428,7 @@ def variance_decomposition(
     The window end is capped at MAX_WINDOW_END, since the split builds
     float arrays (in chunks) over a third of the positions.
     """
-    if mu_source not in ("observed", "expected"):
+    if mu_source not in MU_SOURCES:
         raise ValueError(f"mu_source must be 'observed' or 'expected', got {mu_source}")
     if window.end > MAX_WINDOW_END:
         raise ValueError(f"window end {window.end} exceeds the supported {MAX_WINDOW_END}")

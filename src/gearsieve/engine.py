@@ -557,12 +557,14 @@ def classical_oracle_count(window: Window, constellation: Constellation) -> int:
     """Count all-prime tuples in the window by an ordinary segmented sieve.
 
     The sieve is `oracle.count_prime_tuples`, which shares nothing with the
-    signal path, not even the prime table: a sieve of Eratosthenes on the
-    8 lanes 30k + c coprime to 30, with base primes from its own small
-    sieve. Each lane row is sieved in chunks of 2^20 indices that start
-    from the lane's tile for 7, 11 and 13, and only the lanes holding a
-    member of the tuple are sieved; first members below 31 are checked by
-    trial division. Used as an independent cross-check.
+    signal path, not even the prime table: a sieve of Eratosthenes on a
+    mod-30 or mod-210 wheel, picked per window, with base primes from its
+    own small sieve. It takes one admissible first lane at a time and
+    sieves one row of first members in chunks of 2^20 indices: each chunk
+    starts from the lane's tile for 7, 11 and 13 (or 11, 13 and 17), and
+    every member's base-prime multiples are struck into that row. First
+    members below 31 are checked by trial division. Used as an independent
+    cross-check.
     """
     if window.end > MAX_WINDOW_END:
         raise ValueError(f"window end {window.end} exceeds the supported {MAX_WINDOW_END}")

@@ -24,6 +24,9 @@ from .engine import MAX_PRODUCT_PMAX, MAX_WINDOW_END
 from .errors import InvariantError
 from .primes import is_prime_trial, odd_primes_upto
 
+# The weight-table indexings of the equidistribution sum.
+H_CONVENTIONS = ("appendix_c", "section4")
+
 
 @dataclass(frozen=True)
 class FourierRow:
@@ -151,7 +154,7 @@ def weighted_ergodic_sum(m0: int, convention: str = "appendix_c") -> EquidistRep
         raise ValueError(f"weighted sum needs m0 >= 11, got {m0}")
     if m0 * m0 > MAX_WINDOW_END:
         raise ValueError(f"m0^2 = {m0 * m0} exceeds the supported window end {MAX_WINDOW_END}")
-    if convention not in ("appendix_c", "section4"):
+    if convention not in H_CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
     ps = [int(p) for p in odd_primes_upto(m0) if p >= 5]
     tables = _tables_at_multiples(TWINS, ps, 1 if convention == "appendix_c" else 3)

@@ -30,11 +30,12 @@ from .correlation import fano_theoretical, mean_field, variance_decomposition
 from .engine import (
     MAX_WINDOW_END, SieveBasis, Window, build_basis, certify, composite_signal, signal_sums,
 )
-from .fourier import EquidistReport, FitResult, fit_decay_exponent, weighted_ergodic_sum
+from .fourier import (
+    H_CONVENTIONS, EquidistReport, FitResult, fit_decay_exponent, weighted_ergodic_sum,
+)
 
 MEAN_SOURCES = ("proper", "literal")
 SURVIVOR_RANGES = ("inclusive", "strict")
-H_CONVENTIONS = ("appendix_c", "section4")
 OUTPUT_FORMATS = ("csv", "json")
 
 DEFAULT_TABLE1_M0 = (30, 50, 100, 500, 1000)

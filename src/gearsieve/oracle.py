@@ -1,26 +1,33 @@
 """Classical oracle: prime k-tuples counted by a segmented wheel sieve.
 
-A sieve of Eratosthenes on the mod-30 wheel (Pritchard, "Explaining the
-wheel sieve", Acta Informatica 17, 1982) that shares nothing with the
-signal engine, not even the prime table: it imports only math and numpy
-and sieves its own base primes, so a fault in the striding code or in
-`primes` cannot make it agree on a wrong count.
+A sieve of Eratosthenes on a wheel (Pritchard, "Explaining the wheel
+sieve", Acta Informatica 17, 1982) that shares nothing with the signal
+engine, not even the prime table: it imports only math and numpy and
+sieves its own base primes, so a fault in the striding code or in `primes`
+cannot make it agree on a wrong count.
 
-The values coprime to 30 fall in 8 lanes, c = 1, 7, 11, ..., 29, and lane c
-holds 30k + c at index k. Each lane row is sieved in chunks of
-_ORACLE_CHUNK indices, in one buffer per lane. A chunk starts as copies of
-the lane's own composite tile for 7, 11 and 13, whose period is
-7 * 11 * 13 = 1001 indices (30030 in value), and only the primes from 17 to
-isqrt(end - 1) are strided, one slice per lane, prime and chunk, from
-max(p^2, the first hit in the lane).
+The wheel modulus W is 30 or 210. The values coprime to W fall in lanes
+(8 or 48), and lane c holds W k + c at index k. A first member n sits in
+an admissible first lane c0 when every c0 + h is coprime to W; member
+n + h is then W (k + s) + r, in lane r at index k + s, where
+(s, r) = divmod(c0 + h, W).
 
-Only lanes that hold some member of a tuple are sieved. A first member in
-lane c0 is admissible when every c0 + h is coprime to 30; member n + h then
-sits in row (c0 + h) mod 30, shifted by (c0 + h) // 30 indices, and the
-count ORs those shifted views of each chunk. First members below 31 are
-checked directly by trial division, which covers members equal to 3, 5, 7,
-11 and 13 (such as the pair (5, 7)), whose lanes the tile and the wheel
-would strike.
+The count takes one admissible first lane at a time and sieves one row
+over its first-member indices k, in chunks of _ORACLE_CHUNK: entry k is
+struck when some member W k + c0 + h is composite. A chunk starts as
+copies of the first lane's tile, which strikes the members divisible by a
+tile prime: 7, 11 and 13 for W = 30 (period 1001 indices, 30030 in
+value), or 11, 13 and 17 for W = 210 (period 2431 indices, 510510 in
+value). The primes above them, up to isqrt(end - 1), are strided into the
+same row: one slice per prime, member and chunk, from max(p^2, the member's
+first multiple of p). So each member's lane is sieved over its own index
+range, shifted by s, and lands in place in the one row; a lane shared by
+two first lanes is sieved once for each.
+
+`_wheel_modulus` picks W per window with one comparison. First members
+below 31 are checked directly by trial division, which covers members
+equal to 3, 5, 7, 11, 13 or 17 (such as the pair (5, 7)), whose lanes the
+wheel and the tile would strike.
 """
 
 from __future__ import annotations
@@ -29,32 +36,31 @@ import math
 
 import numpy as np
 
-# Lane indices per chunk. In a sweep of 2^18 to 2^21 (see README), 2^20
-# was fastest below 1e9 and as fast as 2^19 near m0 = 1e4; its rows for
-# six lanes peak at 7.7 MiB, and 2^21 doubles that for no gain.
+# First-member indices per chunk: one row of at most this many entries is
+# alive. In a sweep of 2^18 to 2^21 (see README), 2^20 was fastest below
+# 1e9 and as fast as 2^19 and 2^21 near m0 = 1e4.
 _ORACLE_CHUNK = 1 << 20
-_WHEEL = 30
-_LANES = tuple(c for c in range(1, _WHEEL) if math.gcd(c, _WHEEL) == 1)
-# Primes whose multiples each lane copies from its tile, not strided.
-_PRESIEVE = (7, 11, 13)
-_PRESIEVE_PERIOD = math.prod(_PRESIEVE)
+# Each wheel modulus and the primes its tile presieves.
+_WHEELS = {30: (7, 11, 13), 210: (11, 13, 17)}
+# The 210 wheel is used once a 210-lane holds this many first members per
+# base prime: the crossover was near 290 for twins and 195 for (0, 2, 6).
+_WIDE_LANE_PER_PRIME = 240
 # First members below this are checked directly: from 31 up every member
-# exceeds 13, so only primes from 17 up can equal one.
+# exceeds 17, so only primes above every tile prime can equal one.
 _DIRECT_BELOW = 31
 # A 0-d array: numpy fills a slice from it with less overhead per call
 # than from a Python bool.
 _TRUE = np.array(True)
 
 
-def _base_primes(bound: int) -> np.ndarray:
-    """Primes 17 <= p <= bound, ascending, from a plain sieve of their own."""
+def _primes_upto(bound: int) -> np.ndarray:
+    """Primes p <= bound, ascending, from a plain sieve of their own."""
     flags = np.ones(bound + 1, dtype=bool)
     flags[:2] = False
     for p in range(2, math.isqrt(bound) + 1):
         if flags[p]:
             flags[p * p :: p] = False
-    primes = np.flatnonzero(flags).astype(np.int64)
-    return primes[primes > _PRESIEVE[-1]]
+    return np.flatnonzero(flags).astype(np.int64)
 
 
 def _is_prime(n: int) -> bool:
@@ -62,12 +68,29 @@ def _is_prime(n: int) -> bool:
     return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
-def _lane_tile(c: int) -> np.ndarray:
-    """One period of lane c's indices k, True where 7, 11 or 13 divides
-    30k + c."""
-    tile = np.zeros(_PRESIEVE_PERIOD, dtype=bool)
-    for p in _PRESIEVE:
-        tile[-c * pow(_WHEEL, -1, p) % p :: p] = True
+def _wheel_modulus(lane: int, primes: int) -> int:
+    """30 or 210, for a window whose 210-lanes hold `lane` first members
+    and whose sieve strides about `primes` base primes.
+
+    The 210 wheel has 4 to 5 times as many admissible first lanes (twins,
+    (0, 2, 6)), each a seventh as long, so its rows hold 4/7 to 5/7 of the
+    entries; but while a row fits in one chunk, each costs one slice call
+    per prime and member, so it makes 4 to 5 times the calls. It pays only
+    once a lane is long against the number of primes striding it (README,
+    oracle wheel crossover).
+    """
+    return 210 if lane >= _WIDE_LANE_PER_PRIME * primes else 30
+
+
+def _tuple_tile(modulus: int, c0: int, offsets: tuple[int, ...]) -> np.ndarray:
+    """One tile period of first lane c0's indices k, True where a tile
+    prime divides some member modulus * k + c0 + h."""
+    presieve = _WHEELS[modulus]
+    tile = np.zeros(math.prod(presieve), dtype=bool)
+    for p in presieve:
+        inverse = pow(modulus, -1, p)
+        for h in offsets:
+            tile[-(c0 + h) * inverse % p :: p] = True
     return tile
 
 
@@ -99,49 +122,40 @@ def count_prime_tuples(anchor: int, end: int, offsets: tuple[int, ...]) -> int:
     lo = max(anchor, _DIRECT_BELOW)
     if limit <= lo:
         return total
-    # Per admissible first lane c0, the (shift, row) of each member n + h.
-    firsts = {
-        c0: [divmod(c0 + h, _WHEEL) for h in offsets]
-        for c0 in _LANES
-        if all(math.gcd(c0 + h, _WHEEL) == 1 for h in offsets)
+    base = _primes_upto(math.isqrt(end - 1))
+    modulus = _wheel_modulus(-(-(limit - lo) // 210), base.size)
+    period = math.prod(_WHEELS[modulus])
+    base = base[base > _WHEELS[modulus][-1]]
+    inverse = np.array([pow(modulus, -1, p) for p in base.tolist()], dtype=np.int64)
+    # Lane c0 holds the first members modulus * k + c0 with first <= k < last.
+    ranges = {
+        c0: (-((c0 - lo) // modulus), -((c0 - limit) // modulus))
+        for c0 in range(1, modulus)
+        if all(math.gcd(c0 + h, modulus) == 1 for h in offsets)
     }
-    if not firsts:
+    if not ranges:
         return total
-    lanes = sorted({row for members in firsts.values() for _, row in members})
-    reach = max(shift for members in firsts.values() for shift, _ in members)
-    # Lane c0 holds the first members 30k + c0 with first <= k < last.
-    bounds = {c0: (-((c0 - lo) // _WHEEL), -((c0 - limit) // _WHEEL)) for c0 in firsts}
-    k_lo = min(first for first, _ in bounds.values())
-    k_hi = max(last for _, last in bounds.values())
-    row_len = min(_ORACLE_CHUNK, k_hi - k_lo) + reach
-    tiles = {c: _lane_tile(c) for c in lanes}
-    rows = {c: np.empty(row_len, dtype=bool) for c in lanes}
-    base = _base_primes(math.isqrt(end - 1))
-    # Lane c is struck by p at k = -c / 30 mod p, never below p^2.
-    inverse = np.array([pow(_WHEEL, -1, p) for p in base.tolist()], dtype=np.int64)
-    phases = {c: (-c * inverse % base, (base * base - c + _WHEEL - 1) // _WHEEL) for c in lanes}
-    for kc in range(k_lo, k_hi, _ORACLE_CHUNK):
-        n = min(_ORACLE_CHUNK, k_hi - kc)
-        seg_len = n + reach
-        wrap = kc % _PRESIEVE_PERIOD
-        # Primes whose square passes the chunk's last value strike nothing.
-        top = math.isqrt(_WHEEL * (kc + seg_len))
-        ps = base[: int(np.searchsorted(base, top, side="right"))]
-        for c in lanes:
-            row = rows[c][:seg_len]
-            _fill_from_tile(row, tiles[c], wrap)
-            residue, k_square = phases[c]
-            start = np.maximum(k_square[: ps.size], kc)
-            start += (residue[: ps.size] - start) % ps
-            for p, i in zip(ps.tolist(), (start - kc).tolist()):
-                row[i::p] = _TRUE
-        for c0, members in firsts.items():
-            first, last = bounds[c0]
-            a, b = max(first - kc, 0), min(last - kc, n)
-            if a >= b:
-                continue
-            hit = rows[c0][a:b]
-            for shift, row in members[1:]:
-                hit = hit | rows[row][a + shift : b + shift]
-            total += (b - a) - int(np.count_nonzero(hit))
+    row = np.empty(min(_ORACLE_CHUNK, max(b - a for a, b in ranges.values())), dtype=bool)
+    for c0, (first, last) in ranges.items():
+        tile = _tuple_tile(modulus, c0, offsets)
+        # Member c0 + h is struck by p at k = -(c0 + h) / modulus mod p,
+        # from the first k whose member is at least p^2.
+        strikes = [
+            (-(c0 + h) * inverse % base, (base * base - c0 - h + modulus - 1) // modulus)
+            for h in offsets
+        ]
+        for kc in range(first, last, _ORACLE_CHUNK):
+            hit = row[: min(_ORACLE_CHUNK, last - kc)]
+            _fill_from_tile(hit, tile, kc % period)
+            # Primes whose square passes the chunk's last member strike nothing.
+            top = math.isqrt(modulus * (kc + hit.size) + c0 + span)
+            m = int(np.searchsorted(base, top, side="right"))
+            ps = base[:m]
+            steps = ps.tolist()
+            for residue, k_square in strikes:
+                start = np.maximum(k_square[:m], kc)
+                start += (residue[:m] - start) % ps
+                for p, i in zip(steps, (start - kc).tolist()):
+                    hit[i::p] = _TRUE
+            total += hit.size - int(np.count_nonzero(hit))
     return total

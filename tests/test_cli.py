@@ -2,6 +2,7 @@
 
 import argparse
 import hashlib
+import inspect
 import json
 import math
 import re
@@ -558,6 +559,28 @@ def test_every_subcommand_has_a_handler():
     assert len(commands.choices) == 14
     for name in commands.choices:
         assert callable(getattr(cli, f"_cmd_{name}")), name
+
+
+@pytest.mark.parametrize("command", ["table1", "table2", "table3", "figures"])
+def test_sweep_flag_defaults_are_the_dataclass_defaults(command):
+    # a sweep given no flags runs RunConfig's and Conventions' defaults
+    args = cli.build_parser().parse_args([command])
+    assert cli._config_from(args, (30,)) == harness.RunConfig(m0_list=(30,))
+
+
+def test_query_flag_defaults_are_the_library_defaults():
+    parse = cli.build_parser().parse_args
+    run = harness.RunConfig(m0_list=(30,))
+    for argv in (["scan", "--m0", "101"], ["moments", "--m0", "101"], ["tau", "--p", "5"]):
+        assert cli._parse_offsets(parse(argv).tuple) == run.constellation, argv
+    for argv in (["scan", "--m0", "101"], ["moments", "--m0", "101"]):
+        assert parse(argv).anchor == run.anchor, argv
+    for argv, function in ((["equidist", "--m0", "11"], fourier.weighted_ergodic_sum),
+                           (["fit"], fourier.fit_decay_exponent)):
+        default = inspect.signature(function).parameters["convention"].default
+        assert parse(argv).convention == run.conventions.h_convention == default, argv
+    mu_default = inspect.signature(correlation.variance_decomposition).parameters["mu_source"]
+    assert parse(["moments", "--m0", "101"]).mu_source == mu_default.default
 
 
 def test_goldbach_command(capsys):

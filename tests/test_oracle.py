@@ -1,17 +1,27 @@
-"""The classical oracle against brute-force trial division.
+"""The classical oracle against brute-force trial division, on both wheels.
 
-The oracle sieves the 8 lanes 30k + c with gcd(c, 30) = 1 in chunks of
-lane indices, each chunk starting from the lane's tile for 7, 11 and 13
-(period 1001 indices, 30030 in value), and checks first members below 31
-by trial division. The draws cover each part: anchors from 5 to 29, so
-members equal 5, 7, 11 or 13; spans of 30 and more, so a member sits one
-or more indices along in its lane; the chunk size patched down to 1, 7
-and 64 indices, so chunk edges fall inside every lane; and windows around
-value 30030, where every lane's tile wraps.
+The oracle sieves one admissible first lane W k + c0 at a time on a wheel
+of modulus W = 30 or 210, in chunks of first-lane indices. Each chunk
+starts from the lane's tile (7, 11 and 13 for W = 30, period 30030 in
+value; 11, 13 and 17 for W = 210, period 510510), and first members below
+31 are checked by trial division. Every check runs under both wheels, the
+choice patched like the chunk size, since the oracle's own rule takes the
+30 wheel for every window this small. The draws cover each part: anchors
+from 5 to 29, so members equal 5, 7, 11 or 13; spans of 30 and more, so a
+member sits one or more indices along from its first member; the chunk
+size patched down to 1, 7 and 64 indices, so chunk edges fall inside
+every lane; and windows around values 30030 and 510510, where each tile
+wraps.
 """
 
+import ast
+import functools
 import math
+import tracemalloc
+from pathlib import Path
 from unittest import mock
+
+import numpy as np
 
 from hypothesis import example, given, settings
 from hypothesis.strategies import integers, sampled_from, sets
@@ -30,29 +40,35 @@ from gearsieve.engine import (
 from gearsieve.primes import is_prime_trial
 
 CHUNKS = (1, 7, 64, oracle._ORACLE_CHUNK)
+MODULI = tuple(oracle._WHEELS)
 END_MAX = 5000
 PRIME_FLAGS = [is_prime_trial(v) for v in range(70_001)]
+# Values 510510 + c, where every lane's tile of the 210 wheel wraps.
+WIDE_WRAP = math.prod((210, *oracle._WHEELS[210]))
 
 
-def _brute_count(window, offsets):
+def _brute_count(window, offsets, is_prime=PRIME_FLAGS.__getitem__):
     """All n in [anchor, end - span), even ones too, with every n + h prime."""
     return sum(
         1
         for n in range(window.anchor, window.end - offsets[-1])
-        if all(PRIME_FLAGS[n + h] for h in offsets)
+        if all(is_prime(n + h) for h in offsets)
     )
 
 
-def _oracle(window, constellation, chunk):
-    with mock.patch.object(oracle, "_ORACLE_CHUNK", chunk):
+def _oracle(window, constellation, chunk, modulus):
+    with mock.patch.object(oracle, "_ORACLE_CHUNK", chunk), mock.patch.object(
+        oracle, "_wheel_modulus", lambda lane, primes: modulus
+    ):
         return classical_oracle_count(window, constellation)
 
 
-def _check(anchor, end, offsets, chunk):
+def _check(anchor, end, offsets, chunk, is_prime=PRIME_FLAGS.__getitem__):
     window = Window(anchor, end)
     constellation = Constellation("drawn", (0, *sorted(offsets)))
-    expected = _brute_count(window, constellation.offsets)
-    assert _oracle(window, constellation, chunk) == expected
+    expected = _brute_count(window, constellation.offsets, is_prime)
+    for modulus in MODULI:
+        assert _oracle(window, constellation, chunk, modulus) == expected, modulus
 
 
 @settings(max_examples=200, deadline=None)
@@ -100,29 +116,76 @@ def test_oracle_small_first_members(anchor, length, offsets, chunk):
 )
 @example(4999, 5, 30100, (2,), 1)  # Window(29999, 30100)
 def test_oracle_across_the_tile_wrap(sixes, residue, end, offsets, chunk):
-    # 30030 = 30 * 1001: each lane's tile wraps between values 30000 + c
-    # and 30030 + c, both inside every drawn window
+    # 30030 = 30 * 1001: each lane's tile of the 30 wheel wraps between
+    # values 30000 + c and 30030 + c, both inside every drawn window
     _check(6 * sixes + residue, end, offsets, chunk)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    integers(min_value=-120, max_value=-1),
+    sampled_from((1, 5)),
+    integers(min_value=WIDE_WRAP + 250, max_value=WIDE_WRAP + 900),
+    sampled_from(((2,), (2, 6), (4,), (6, 12), (2, 212), (2, 6, 8))),
+    sampled_from(CHUNKS),
+)
+@example(-35, 5, WIDE_WRAP + 300, (2,), 1)  # Window(510305, 510810)
+def test_oracle_across_the_wide_tile_wrap(sixes, residue, end, offsets, chunk):
+    # 510510 = 210 * 2431: each lane's tile of the 210 wheel wraps between
+    # values 510300 + c and 510510 + c, both inside every drawn window.
+    # Members are checked by trial division as they come, not from a table.
+    _check(WIDE_WRAP + 6 * sixes + residue, end, offsets, chunk,
+           functools.cache(is_prime_trial))
+
+
 def test_oracle_over_many_tile_periods():
-    # values up to 70001 wrap every lane's tile twice
+    # values up to 70001 wrap every tile of the 30 wheel twice, and put
+    # chunk edges at many tile phases of both wheels
     window = Window(5, 70001)
     for constellation in (TWINS, Constellation("triple", (0, 2, 6)),
                           Constellation("quint", (0, 2, 6, 8, 12))):
         expected = _brute_count(window, constellation.offsets)
         for chunk in (64, 1000, oracle._ORACLE_CHUNK):
-            assert _oracle(window, constellation, chunk) == expected
+            for modulus in MODULI:
+                assert _oracle(window, constellation, chunk, modulus) == expected
+
+
+def test_oracle_peak_memory():
+    # One row of at most _ORACLE_CHUNK flags is alive at a time, so the
+    # peak stays below six rows of 2^20 flags, one per lane of the 30
+    # wheel that holds a twin member.
+    tracemalloc.start()
+    try:
+        assert classical_oracle_count(Window(5, 10**8), TWINS) + 1 == PI2[8]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 2**20
+
+
+def test_oracle_imports_only_math_and_numpy():
+    # The oracle is independent only while it shares no code with the
+    # package: an import of anything else, even inside a function, fails.
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert imported <= {"__future__", "math", "numpy"}, imported
 
 
 def test_oracle_ignores_a_faulty_prime_table():
-    # 7 is presieved by the oracle's tile and 101 is strided; a table
-    # missing both feeds the signal path a basis with holes.
+    # The oracle sieves its own primes. 7 is a wheel prime of the 210 wheel
+    # and a tile prime of the 30 wheel, 13 a tile prime of both, and 101 is
+    # strided by both; a table missing all three feeds the signal path a
+    # basis with holes.
     real = primes.primes_upto
 
     def faulty(n):
         table = real(n)
-        return table[(table != 7) & (table != 101)]
+        return table[~np.isin(table, (7, 13, 101))]
 
     window = Window(first_candidate_above(149), 149 * 149)
     expected = _brute_count(window, TWINS.offsets)
@@ -131,7 +194,8 @@ def test_oracle_ignores_a_faulty_prime_table():
     ):
         signal = certify(composite_signal(build_basis(149), window, TWINS)).count
         assert signal != expected  # the fault is real on the signal path
-        assert classical_oracle_count(window, TWINS) == expected
+        for modulus in MODULI:
+            assert _oracle(window, TWINS, oracle._ORACLE_CHUNK, modulus) == expected
 
 
 # Twin prime pairs below 10^k (OEIS A007508) and primes below 10^8
