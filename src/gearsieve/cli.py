@@ -121,12 +121,18 @@ def _cmd_prime(args: argparse.Namespace) -> int:
 
 def _cmd_admissible(args: argparse.Namespace) -> int:
     report = is_admissible(_parse_offsets(args.offsets))
-    payload = dataclasses.asdict(report)
-    payload["constellation"] = {
-        "name": report.constellation.name,
-        "offsets": list(report.constellation.offsets),
-    }
-    _print_json(payload)
+    # The report's fields in order; json writes each tuple as a list.
+    _print_json(
+        {
+            "constellation": {
+                "name": report.constellation.name,
+                "offsets": report.constellation.offsets,
+            },
+            "admissible": report.admissible,
+            "per_prime": report.per_prime,
+            "blocking": report.blocking,
+        }
+    )
     return 0
 
 

@@ -475,6 +475,37 @@ def test_report_stdout_is_unchanged(capsys, argv, sha256):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
 
 
+@pytest.mark.parametrize(
+    "argv, sha256",
+    [
+        (["admissible", "0,2,6"],
+         "25ed12d597620b2669ced2172ecfa88c330fc53961bae6eedd0f08b4209b538f"),
+        (["admissible", "0,2,4"],
+         "1c50119ee79d3d117e82a7708aa2202af649e60c92428b2096487cc8c88abc76"),
+        (["admissible", "0"],
+         "d06b1fa3e7d5810d735a4ed7f8b100f9600ade5855bd2c288144b909a77399e5"),
+        (["admissible", "0,3"],
+         "c8029fe4a7e98375240e18497603a6842fde44b2ae5b2da60b9969785a2b386d"),
+        (["prime", "1000000007"],
+         "5273264ca2913c41269ac40cccfe1fa470679f1bedf3c9de31f06f440bd93081"),
+        (["prime", "999999999"],  # 3 * 333333333
+         "63b94d4b0802c03a7d8b77e8d7fd3bd92575b07174a5e2f3bf522e33e5eff7a7"),
+        (["prime", "1000000001"],  # 7 * 11 * 13 * 19 * 52579
+         "eac51db01ff31cacdc314bb14eee287dd3332e1a6b1770a061f014dbd8efdd78"),
+        (["prime", "9999399973"],  # 99991 * 100003
+         "18708d074a0180b6d97f96c43b627829e79a167da0c0ba950d81f6270da7ee36"),
+        (["seed", "37"],
+         "0571beb97677b0070606c9ab8f47ecd96b32daa8339ff6c0f8451acc4dd831b2"),
+        (["seed", "999999999989"],
+         "ec476dbd034cfa484f11e2c19f2ebed332e9e5fe1e855e3f845c11524eda0873"),
+    ],
+)
+def test_point_query_stdout_is_unchanged(capsys, argv, sha256):
+    # a parsed-JSON check would miss a change of key order or indentation
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
+
+
 def test_fit_prints_the_table3_fit_file(tmp_path, capsys):
     # one fit record for both; the fit's last digits come from np.polyfit,
     # so the two are compared with each other, not with a digest

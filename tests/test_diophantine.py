@@ -213,23 +213,55 @@ def test_structural_at_the_bound():
         structural_is_prime(MAX_PRIME_N + 1)
 
 
-@pytest.mark.parametrize("block", [1, 2, 3, 4, 5, 7, diophantine._PRIME_BLOCK])
-def test_structural_block_edges(block):
-    """Squares and products of the primes on both sides of each block edge.
+def _ramp_blocks(start, block, count):
+    """The first count blocks of the walk, as (first, last) odd moduli.
 
-    Block j - 1 ends at modulus a = 1 + 2*block*j and block j starts at
-    a + 2. With q1 <= a < a + 2 <= q2 the nearest primes, q1^2 and q2^2
-    meet their factor at the last modulus, isqrt(n), and q1 * q2 and
-    q2 * q3 put isqrt(n) just above an edge prime. The next prime above
-    each product walks every modulus up to its root.
+    Block 0 holds min(start, block) moduli from 3; each later block holds
+    four times as many as the one before, capped at block.
     """
+    blocks, lo, width = [], 3, min(start, block)
+    for _ in range(count):
+        blocks.append((lo, lo + 2 * (width - 1)))
+        lo += 2 * width
+        width = min(4 * width, block)
+    return blocks
+
+
+def _check_block_edges(start, block):
+    """Inputs that meet their factor on either side of each block edge.
+
+    With a block ending at modulus a and the next starting at a + 2, and
+    q1 <= a < a + 2 <= q2 the nearest primes, q1^2 and q2^2 meet their
+    factor at the last modulus, isqrt(n), and q1 * q2 and q2 * q3 put
+    isqrt(n) just above an edge prime. q * r, with r a prime far above
+    every edge, has q as its only factor below isqrt(n), for q the first
+    and the last prime modulus of each block: a walk that skips or
+    repeats the wrong modulus at an edge calls it prime. The next prime
+    above each product walks every modulus up to its root.
+    """
+    blocks = _ramp_blocks(start, block, 5)
+    far = _next_prime(10**6)
     cases = []
-    for j in range(1, 5):
-        a = 1 + 2 * block * j
-        q1, q2 = _prev_prime(a), _next_prime(a + 2)
+    for (_, a), (b, _) in zip(blocks, blocks[1:]):
+        q1, q2 = _prev_prime(a), _next_prime(b)
         q3 = _next_prime(q2 + 1)
-        for n in (q1 * q1, q2 * q2, q1 * q2, q2 * q3):
-            cases += [n, _next_prime(n)]
-    with mock.patch.object(diophantine, "_PRIME_BLOCK", block):
+        cases += [q1 * q1, q2 * q2, q1 * q2, q2 * q3]
+    for first, last in blocks:
+        cases += [_next_prime(first) * far, _prev_prime(last) * far]
+    cases += [_next_prime(n) for n in cases]
+    with mock.patch.multiple(diophantine, _RAMP_START=start, _PRIME_BLOCK=block):
         for n in cases:
             assert structural_is_prime(n) == _is_prime_mr(n), n
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 4, 5, 7, diophantine._PRIME_BLOCK])
+def test_structural_block_edges(block):
+    # at the default ramp start: a flat walk for the small blocks, the
+    # ramp 64, 256, 1024, 4096, 4096 at the default block
+    _check_block_edges(diophantine._RAMP_START, block)
+
+
+@pytest.mark.parametrize("start, block", [(1, 16), (2, 7), (3, 48)])
+def test_structural_ramp_edges_at_small_sizes(start, block):
+    # ramps 1, 4, 16, 16, 16; 2, 7, 7, 7, 7; 3, 12, 48, 48, 48
+    _check_block_edges(start, block)

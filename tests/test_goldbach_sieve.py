@@ -1,12 +1,16 @@
-"""goldbach_count against its own odd-only sieve, at random even E up to 10^8.
+"""goldbach_count against its own odd-only sieves, at random even E up to 10^9.
 
-The reference is a sieve of Eratosthenes over the odd integers below
-10^8, crossed off by slices (an index array would hold several hundred
-MB), sharing nothing with the mask walk behind goldbach_count. It checks
-both the count and the list of first members. E = 10^9 keeps only its
-published count (tests/test_oracle.py): its sieve would hold 500 MB.
+Up to 10^8 the reference is a sieve of Eratosthenes over the odd integers
+below 10^8, crossed off by slices (an index array would hold several
+hundred MB), sharing nothing with the mask walk behind goldbach_count. It
+checks both the count and the list of first members. Above 10^8 a whole
+sieve would hold up to 500 MB, so a two-sided segmented sieve counts the
+pairs of one seeded E in [5 * 10^8, 10^9] in O(B + sqrt(E)) memory: each
+segment of first members p is sieved with its mirror E - p, and the two
+are ANDed. Its base primes come from its own small sieve.
 """
 
+import math
 import random
 
 import numpy as np
@@ -38,17 +42,84 @@ def test_reference_sieve_counts_the_primes_below_limit(odd_prime_flags):
     assert int(np.count_nonzero(odd_prime_flags)) == 5_761_455 - 1
 
 
-@pytest.mark.parametrize("even", EVENS)
-def test_goldbach_count_matches_reference_sieve(odd_prime_flags, even):
-    # first members n = 2i + 1 in [3, E/2]; the partner E - n is 2j + 1
-    # with j = E/2 - 1 - i, so its flags run backwards from E/2 - 2
+def _reference_pairs(flags, even):
+    """both[i] is True exactly when 2i + 3 and even - 2i - 3 are prime.
+
+    First members n = 2i + 1 in [3, E/2]; the partner E - n is 2j + 1
+    with j = E/2 - 1 - i, so its flags run backwards from E/2 - 2.
+    """
     half = even // 2
     top = (half - 1) // 2
-    first = odd_prime_flags[1 : top + 1]
-    partner = odd_prime_flags[half - 2 : half - 2 - top : -1]
-    both = first & partner
+    return flags[1 : top + 1] & flags[half - 2 : half - 2 - top : -1]
+
+
+@pytest.mark.parametrize("even", EVENS)
+def test_goldbach_count_matches_reference_sieve(odd_prime_flags, even):
+    both = _reference_pairs(odd_prime_flags, even)
     result = goldbach_count(even, survivors=True)
     assert result.count == int(np.count_nonzero(both))
     assert np.array_equal(result.survivors, 2 * np.flatnonzero(both) + 3)
     if even == LIMIT:
         assert result.count == 291_400
+
+
+# Odd integers per segment of the two-sided sieve: 8 MB per side, about
+# 30 segments at 10^9.
+_SEGMENT = 1 << 23
+_TOP_E = 2 * random.Random(21).randrange(25 * 10**7, 5 * 10**8 + 1)
+
+
+def _odd_primes_upto(limit):
+    flags = np.ones(limit + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
+    return np.flatnonzero(flags)[1:]
+
+
+def _odd_segment(start, count, base):
+    """flags[i] is True exactly when start + 2i is prime (start odd, >= 3).
+
+    Each base prime p with p^2 below the segment's end crosses off its
+    odd multiples from max(p^2, the first one >= start), so p itself
+    stays.
+    """
+    flags = np.ones(count, dtype=bool)
+    base = base[base * base < start + 2 * count]
+    first = np.maximum(base * base, -(-start // base) * base)
+    first += base * (first % 2 == 0)
+    for p, i in zip(base.tolist(), ((first - start) // 2).tolist()):
+        flags[i::p] = False
+    return flags
+
+
+def _segmented_goldbach_count(even, segment=_SEGMENT):
+    """Odd primes p in [3, even/2] with even - p prime, a segment at a time.
+
+    The mirror of first members lo, lo + 2, ..., lo + 2(c - 1) is the odd
+    run from even - lo - 2(c - 1) up to even - lo, read backwards.
+    """
+    base = _odd_primes_upto(math.isqrt(even))
+    total = (even // 2 - 3) // 2 + 1
+    count = 0
+    for i in range(0, total, segment):
+        c = min(segment, total - i)
+        lo = 3 + 2 * i
+        first = _odd_segment(lo, c, base)
+        mirror = _odd_segment(even - lo - 2 * (c - 1), c, base)
+        count += int(np.count_nonzero(first & mirror[::-1]))
+    return count
+
+
+@pytest.mark.parametrize("even", [8, 9_699_690, LIMIT])
+def test_segmented_sieve_matches_reference_sieve(odd_prime_flags, even):
+    # short segments, so that many segment edges fall inside the range
+    want = int(np.count_nonzero(_reference_pairs(odd_prime_flags, even)))
+    assert _segmented_goldbach_count(even, 1 << 16) == want
+
+
+def test_goldbach_count_at_the_top_of_the_domain():
+    # a basis prime above sqrt(10^8) only acts here
+    assert 5 * 10**8 <= _TOP_E <= 10**9
+    assert goldbach_count(_TOP_E).count == _segmented_goldbach_count(_TOP_E)
