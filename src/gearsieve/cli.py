@@ -10,7 +10,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import json
 import sys
+
+import numpy as np
 
 from .constellations import (
     COUSINS,
@@ -46,9 +49,12 @@ from .harness import (
 from .primes import odd_primes_upto
 
 _NAMED_TUPLES = {(0, 2): TWINS, (0, 4): COUSINS, (0, 6): SEXY}
-# Survivor starts per write (scan's file, goldbach's JSON list), so the
-# text of the whole list is never held.
-_SURVIVOR_CHUNK = 1 << 16
+# Entries per write of a long list (scan's survivor file, the JSON lists
+# of goldbach and admissible), so the text of the whole list is never held.
+_LIST_CHUNK = 1 << 16
+# Stands in for the streamed list in json_text's output. No payload string
+# holds a NUL, while "[]" could also be an empty list beside it.
+_LIST_SLOT = "\0"
 # The flags that fill a RunConfig default to its fields' defaults, so each
 # default is stated once, in the dataclasses.
 _RUN_DEFAULTS = {f.name: f.default for f in dataclasses.fields(RunConfig)}
@@ -101,6 +107,34 @@ def _print_json(payload) -> None:
     print(json_text(payload))
 
 
+def _print_json_list(payload: dict, key: str) -> None:
+    """Print payload as _print_json does, writing payload[key] a chunk at a time.
+
+    payload[key] holds ints, or int tuples of one length, in a sequence or
+    an int array. An array becomes Python ints one chunk at a time, so
+    neither a Python int per entry nor the whole text is ever held; the
+    bytes are json_text's.
+    """
+    rows = payload[key]
+    head, tail = json_text({**payload, key: _LIST_SLOT}).split(json.dumps(_LIST_SLOT))
+    if not len(rows):
+        sys.stdout.write(head + "[]" + tail + "\n")
+        return
+    key_line = head.rsplit("\n", 1)[-1]
+    indent = "\n" + " " * (len(key_line) - len(key_line.lstrip(" ")))
+    pad = indent + "  "
+    text = str
+    if isinstance(rows[0], tuple):
+        text = ("[" + ",".join([pad + "  %d"] * len(rows[0])) + pad + "]").__mod__
+    sys.stdout.write(head + "[")
+    for lo in range(0, len(rows), _LIST_CHUNK):
+        chunk = rows[lo : lo + _LIST_CHUNK]
+        if isinstance(chunk, np.ndarray):
+            chunk = chunk.tolist()
+        sys.stdout.write(("," if lo else "") + pad + ("," + pad).join(map(text, chunk)))
+    sys.stdout.write(indent + "]" + tail + "\n")
+
+
 def _cmd_seed(args: argparse.Namespace) -> int:
     seed = canonical_seed(args.n)
     _print_json(
@@ -122,7 +156,7 @@ def _cmd_prime(args: argparse.Namespace) -> int:
 def _cmd_admissible(args: argparse.Namespace) -> int:
     report = is_admissible(_parse_offsets(args.offsets))
     # The report's fields in order; json writes each tuple as a list.
-    _print_json(
+    _print_json_list(
         {
             "constellation": {
                 "name": report.constellation.name,
@@ -131,7 +165,8 @@ def _cmd_admissible(args: argparse.Namespace) -> int:
             "admissible": report.admissible,
             "per_prime": report.per_prime,
             "blocking": report.blocking,
-        }
+        },
+        "per_prime",
     )
     return 0
 
@@ -146,8 +181,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     result = certify(trace, survivors=args.survivors is not None)
     if args.survivors is not None:
         with open(args.survivors, "w", encoding="utf-8") as fh:
-            for lo in range(0, result.count, _SURVIVOR_CHUNK):
-                chunk = result.survivors[lo : lo + _SURVIVOR_CHUNK]
+            for lo in range(0, result.count, _LIST_CHUNK):
+                chunk = result.survivors[lo : lo + _LIST_CHUNK]
                 fh.write("\n".join(map(str, chunk.tolist())) + "\n")
     _print_json(
         {
@@ -203,18 +238,10 @@ def _cmd_fourier(args: argparse.Namespace) -> int:
 def _cmd_goldbach(args: argparse.Namespace) -> int:
     result = goldbach_count(args.even, survivors=args.survivors)
     payload = {"even": args.even, "count": result.count}
-    if not args.survivors:
+    if args.survivors:
+        _print_json_list({**payload, "survivors": result.survivors}, "survivors")
+    else:
         _print_json(payload)
-        return 0
-    # json_text's layout, with the list written a chunk at a time so that
-    # neither a list of all the ints nor the whole text is ever held.
-    head, tail = json_text({**payload, "survivors": []}).rsplit("[]", 1)
-    starts = result.survivors
-    sys.stdout.write(head + "[")
-    for lo in range(0, starts.size, _SURVIVOR_CHUNK):
-        chunk = starts[lo : lo + _SURVIVOR_CHUNK].tolist()
-        sys.stdout.write(("," if lo else "") + "\n    " + ",\n    ".join(map(str, chunk)))
-    sys.stdout.write(("\n  ]" if starts.size else "]") + tail + "\n")
     return 0
 
 

@@ -12,7 +12,9 @@ Everything is computed by striding in position space (one slice assignment
 per (prime, offset) pair and block), never by per-position trial division.
 One core does all the striding: the per-pair start residues are computed
 once, and fixed cache-sized blocks advance them arithmetically, so results
-never depend on how a caller would partition the window. Mask mode walks
+never depend on how a caller would partition the window. A block's row
+holds only the entries left in its lane (plus a counts-mode reach), so a
+lane's last block fills and strides no more than it covers. Mask mode walks
 only the wheel lanes: the positions r mod 15 where no member is divisible
 by 3 or 5, or r mod 105 on long windows, where 7 is removed too. One walk
 over those lane rows, one core call, serves both a count, which sums each
@@ -229,11 +231,11 @@ def _stride_blocks(start, count, primes, offsets, modulus, lanes, dtype, count_s
     Yields (t_lo, i, row) for t_lo = 0, _BLOCK, ... and, within each
     block, every lane index i in turn: row[j] covers t = t_lo + j of lane
     lanes[i] and holds its hit count (an integer dtype) or whether it was
-    hit at all (bool). A row holds min(_BLOCK, n_t) + reach entries, so
-    beside its block it also covers the first reach values of t after it,
-    which the next block strides again. Entries past t = n_t - 1 + reach
-    are garbage. The one row buffer is reused, so consume each row before
-    asking for the next.
+    hit at all (bool). A row holds min(_BLOCK, n_t - t_lo) + reach
+    entries, n_t the longest lane's length, so beside its block it also
+    covers the first reach values of t after it, which the next block
+    strides again. Every row is a view of one reused buffer, so consume
+    each row before asking for the next.
     """
     ps = np.array([p for p in primes.tolist() if modulus % p != 0], dtype=np.int64)
     n_t = -(-count // modulus)
@@ -260,16 +262,19 @@ def _stride_blocks(start, count, primes, offsets, modulus, lanes, dtype, count_s
     for t_lo in range(0, n_t, _BLOCK):
         # t0 may lie a period past its residue; max keeps that skip.
         firsts = np.maximum(t0 - t_lo, (t0 - t_lo) % step).tolist()
+        # A lane's last block is often a sliver of the buffer: fill, stride
+        # and yield only its live entries.
+        view = row[: min(_BLOCK, n_t - t_lo) + reach]
         for i in range(len(lanes)):
-            row.fill(0)
+            view.fill(0)
             lane = slice(i * per_lane, (i + 1) * per_lane)
             if counts:
                 for first, p in zip(firsts[lane], steps[lane]):
-                    row[first::p] += 1
+                    view[first::p] += 1
             else:
                 for first, p in zip(firsts[lane], steps[lane]):
-                    row[first::p] = hit
-            yield t_lo, i, row
+                    view[first::p] = hit
+            yield t_lo, i, view
 
 
 def _self_hit_positions(

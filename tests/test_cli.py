@@ -87,7 +87,7 @@ def test_scan_survivor_file_does_not_depend_on_the_chunk(tmp_path, capsys, chunk
     # tuple of Python ints gave, one start per line, whatever the chunk
     path = tmp_path / "starts.txt"
     argv = ["scan", "--m0", "301", "--anchor", "11", "--survivors", str(path)]
-    with mock.patch.object(cli, "_SURVIVOR_CHUNK", chunk):
+    with mock.patch.object(cli, "_LIST_CHUNK", chunk):
         assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["count"] == 1104
     want = "9ba435ae3fa6a2da78004aeb30be5bd202129559758df294bb129eab4a8f005b"
@@ -123,9 +123,29 @@ def test_goldbach_survivor_stream_equals_json_text(capsys, even):
     want = harness.json_text(
         {"even": even, "count": result.count, "survivors": result.survivors.tolist()}
     ) + "\n"
-    for chunk in (1, 7, cli._SURVIVOR_CHUNK):
-        with mock.patch.object(cli, "_SURVIVOR_CHUNK", chunk):
+    for chunk in (1, 7, cli._LIST_CHUNK):
+        with mock.patch.object(cli, "_LIST_CHUNK", chunk):
             assert main(["goldbach", "--even", str(even), "--survivors"]) == 0
+        assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("offsets", ["0", "0,2,4", "0,2,6", "0,4,998"])
+def test_admissible_stream_equals_json_text(capsys, offsets):
+    # per_prime is written in chunks, with blocking empty ("0,2,6") or not
+    # ("0,2,4") after it; every chunk size gives json_text's bytes
+    report = is_admissible(cli._parse_offsets(offsets))
+    want = harness.json_text(
+        {
+            "constellation": {"name": report.constellation.name,
+                              "offsets": report.constellation.offsets},
+            "admissible": report.admissible,
+            "per_prime": report.per_prime,
+            "blocking": report.blocking,
+        }
+    ) + "\n"
+    for chunk in (1, 7, cli._LIST_CHUNK):
+        with mock.patch.object(cli, "_LIST_CHUNK", chunk):
+            assert main(["admissible", offsets]) == 0
         assert capsys.readouterr().out == want
 
 
@@ -498,6 +518,9 @@ def test_report_stdout_is_unchanged(capsys, argv, sha256):
          "0571beb97677b0070606c9ab8f47ecd96b32daa8339ff6c0f8451acc4dd831b2"),
         (["seed", "999999999989"],
          "ec476dbd034cfa484f11e2c19f2ebed332e9e5fe1e855e3f845c11524eda0873"),
+        # 78,498 primes up to the span, more than one list chunk
+        (["admissible", "0,2,6,999998"],
+         "35b2efdea1c907e4c667943767030bf92ba5cb980b351b88d29a93219fadc5ff"),
     ],
 )
 def test_point_query_stdout_is_unchanged(capsys, argv, sha256):

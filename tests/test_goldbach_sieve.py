@@ -7,9 +7,12 @@ checks both the count and the list of first members. Above 10^8 a whole
 sieve would hold up to 500 MB, so a two-sided segmented sieve counts the
 pairs of one seeded E in [5 * 10^8, 10^9] in O(B + sqrt(E)) memory: each
 segment of first members p is sieved with its mirror E - p, and the two
-are ANDed. Its base primes come from its own small sieve.
+are ANDed. Its base primes come from its own small sieve. It streams the
+p into a sha256 digest too, which checks the list of first members at
+that E, and at the E where goldbach_count's wheel lanes cross a block.
 """
 
+import hashlib
 import math
 import random
 
@@ -94,32 +97,86 @@ def _odd_segment(start, count, base):
     return flags
 
 
-def _segmented_goldbach_count(even, segment=_SEGMENT):
+def _segmented_goldbach(even, segment=_SEGMENT):
     """Odd primes p in [3, even/2] with even - p prime, a segment at a time.
 
+    Returns their count and the sha256 of the ascending p as int64 bytes.
     The mirror of first members lo, lo + 2, ..., lo + 2(c - 1) is the odd
     run from even - lo - 2(c - 1) up to even - lo, read backwards.
     """
     base = _odd_primes_upto(math.isqrt(even))
     total = (even // 2 - 3) // 2 + 1
-    count = 0
+    count, digest = 0, hashlib.sha256()
     for i in range(0, total, segment):
         c = min(segment, total - i)
         lo = 3 + 2 * i
         first = _odd_segment(lo, c, base)
         mirror = _odd_segment(even - lo - 2 * (c - 1), c, base)
-        count += int(np.count_nonzero(first & mirror[::-1]))
-    return count
+        ps = lo + 2 * np.flatnonzero(first & mirror[::-1]).astype(np.int64)
+        count += ps.size
+        digest.update(ps.tobytes())
+    return count, digest.hexdigest()
+
+
+def _digest(values):
+    return hashlib.sha256(np.asarray(values, dtype=np.int64).tobytes()).hexdigest()
 
 
 @pytest.mark.parametrize("even", [8, 9_699_690, LIMIT])
 def test_segmented_sieve_matches_reference_sieve(odd_prime_flags, even):
     # short segments, so that many segment edges fall inside the range
-    want = int(np.count_nonzero(_reference_pairs(odd_prime_flags, even)))
-    assert _segmented_goldbach_count(even, 1 << 16) == want
+    both = _reference_pairs(odd_prime_flags, even)
+    want = (int(np.count_nonzero(both)), _digest(2 * np.flatnonzero(both) + 3))
+    assert _segmented_goldbach(even, 1 << 16) == want
 
 
-def test_goldbach_count_at_the_top_of_the_domain():
-    # a basis prime above sqrt(10^8) only acts here
+def _longest_live_lane(even):
+    """Entries in the longest lane goldbach_count strides on the 15 wheel.
+
+    Lane c holds the first members 3 + 2c + 30t, t < ceil((count - c)/15),
+    and is strided unless 3 or 5 divides a member there.
+    """
+    count = (even // 2 - 3) // 2 + 1
+    lanes = [c for c in range(15) if all((3 + 2 * c - h) % q for q in (3, 5) for h in (0, even))]
+    return max(-(-(count - c) // 15) for c in lanes)
+
+
+# Near E = 60 * 2^19 the lanes of the 15 wheel, which the count rule picks
+# up to E = 10^8, pass one block of 2^19 entries. Just below, the longest
+# live lane fills one block; just above, its last block holds one entry.
+# With 15 | E, 8 of the 15 lanes are strided; with 3 and 5 both not
+# dividing E, only 3 are.
+BLOCK_EDGE_EVENS = [
+    (31_457_280, 1 << 19),  # 15 | E
+    (31_457_282, 1 << 19),
+    (31_457_294, (1 << 19) + 1),
+    (31_457_310, (1 << 19) + 1),  # 15 | E
+    (62_914_574, (1 << 20) + 1),  # just past two blocks
+    (LIMIT, 1_666_667),  # the top point_queries query
+]
+
+
+@pytest.mark.parametrize("even, longest", BLOCK_EDGE_EVENS)
+def test_goldbach_at_wheel_lane_block_edges(even, longest):
+    assert _longest_live_lane(even) == longest
+    count, digest = _segmented_goldbach(even)
+    assert goldbach_count(even).count == count
+    assert _digest(goldbach_count(even, survivors=True).survivors) == digest
+
+
+@pytest.fixture(scope="module")
+def top_pairs():
+    """One sieve pass at the top E, shared by its count and list checks."""
     assert 5 * 10**8 <= _TOP_E <= 10**9
-    assert goldbach_count(_TOP_E).count == _segmented_goldbach_count(_TOP_E)
+    return _segmented_goldbach(_TOP_E)
+
+
+def test_goldbach_count_at_the_top_of_the_domain(top_pairs):
+    # a basis prime above sqrt(10^8) only acts here
+    assert goldbach_count(_TOP_E).count == top_pairs[0]
+
+
+def test_goldbach_survivors_at_the_top_of_the_domain(top_pairs):
+    # every first member, not only their number, streamed into one digest
+    result = goldbach_count(_TOP_E, survivors=True)
+    assert (result.count, _digest(result.survivors)) == top_pairs

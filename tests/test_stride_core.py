@@ -485,3 +485,72 @@ def test_zero_bits_pack_from_positions_without_a_mask(count_self_hits):
     # the bits are an eighth of a byte per position; a whole-window bool
     # mask would be a byte
     assert peak < window.positions / 4
+
+
+def _edge_lengths(block):
+    """Lane lengths one short of a block, whole, one past, and two last
+    blocks: one entry long and one entry short of whole."""
+    return (block - 1, block, block + 1, 2 * block + 1, 3 * block - 1)
+
+
+def _row_size_spy(sizes):
+    """_stride_blocks, recording each row's length beside the one it must have."""
+    stride = engine._stride_blocks
+
+    def spy(start, count, primes, offsets, modulus, lanes, dtype, count_self_hits, reach=0):
+        n_t = -(-count // modulus)
+        core = stride(start, count, primes, offsets, modulus, lanes, dtype, count_self_hits, reach)
+        for t_lo, i, row in core:
+            sizes.append((row.size, min(engine._BLOCK, n_t - t_lo) + reach))
+            yield t_lo, i, row
+
+    return spy
+
+
+@pytest.mark.parametrize("block", [8, 16, 64])
+@pytest.mark.parametrize("shape", ["twins", "triplet", "goldbach"])
+@pytest.mark.parametrize("count_self_hits", [True, False])
+def test_mask_rows_hold_only_live_entries(block, shape, count_self_hits):
+    # the last block of a lane strides and yields only the entries left in
+    # it, and the walk still finds every brute-force survivor
+    primes = build_basis(31).primes
+    for n_t in _edge_lengths(block):
+        # every lane n_t entries long, then only the first eight of 15
+        for count in (15 * n_t, 15 * n_t - 7):
+            if shape == "goldbach":
+                # E = 4 count + 2 has count first members 3, 5, ... below
+                # E/2, and every partner n - E lies below -31
+                start, offsets = 3, (0, -(4 * count + 2))
+            else:
+                start, offsets = 5, {"twins": (0, 2), "triplet": (0, 2, 6)}[shape]
+            args = (start, count, primes, offsets, count_self_hits)
+            sizes = []
+            with mock.patch.object(engine, "_BLOCK", block), \
+                    mock.patch.object(engine, "_count_wheel", lambda count, primes: (3, 5)), \
+                    mock.patch.object(engine, "_stride_blocks", _row_size_spy(sizes)):
+                counted = engine._survivor_count(*args)
+                listed = engine._survivor_positions(*args)
+            want = np.flatnonzero(_brute_values(*args) == 0)
+            assert counted == want.size
+            assert listed.tolist() == want.tolist()
+            assert sizes and all(got == live for got, live in sizes), (n_t, count)
+
+
+@pytest.mark.parametrize("block", [8, 16, 64])
+@pytest.mark.parametrize("offsets", [(0, 2), (0, 2, 6)])
+def test_counts_rows_hold_live_entries_and_reach(block, offsets):
+    # counts mode strides one lane of every position, with a reach of
+    # (max h)/2 entries past each block; the last row keeps that reach
+    constellation = Constellation("drawn", offsets)
+    basis = build_basis(31)
+    for count in _edge_lengths(block):
+        window = Window(5, 5 + 2 * count)
+        args = (window.anchor, count, basis.primes, offsets)
+        sizes = []
+        with mock.patch.object(engine, "_BLOCK", block), \
+                mock.patch.object(engine, "_stride_blocks", _row_size_spy(sizes)):
+            sums = signal_sums(basis, window, constellation)
+            values = signal_values(*args)
+        assert sums == _sums_oracle(basis, window, constellation)
+        assert values.tolist() == _brute_values(*args, True).tolist()
+        assert sizes and all(got == live for got, live in sizes), count
