@@ -14,7 +14,11 @@ One core does all the striding: the per-pair start residues are computed
 once, and fixed cache-sized blocks advance them arithmetically, so results
 never depend on how a caller would partition the window. A block's row
 holds only the entries left in its lane (plus a counts-mode reach), so a
-lane's last block fills and strides no more than it covers. Mask mode walks
+lane's last block fills and strides no more than it covers. Each row
+starts as a copy of one presieve tile, which holds the hits of the
+smallest strided primes over their common period Q <= 2^16 (by the
+Chinese Remainder Theorem they repeat with period Q along every lane), read
+from the lane's phase; only the larger primes are strided. Mask mode walks
 only the wheel lanes: the positions r mod 15 where no member is divisible
 by 3 or 5, or r mod 105 on long windows, where 7 is removed too. One walk
 over those lane rows, one core call, serves both a count, which sums each
@@ -25,11 +29,14 @@ directly. Counts mode strides one lane for offset 0 alone: the offsets
 are even, so S_C(r) is the sum of omega, the count of basis primes
 dividing one member, at r + h/2 over the offsets h. Each block's S is
 built from shifted views of that one omega row; `signal_values` keeps
-it per position, and `signal_sums` sums it exactly and keeps nothing.
+it per position, and `signal_sums` sums it exactly and keeps nothing,
+taking the literal sum of S in closed form from each (prime, offset)
+pair's count of hits.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -60,6 +67,10 @@ MAX_PRODUCT_PMAX = MAX_PRIME_TABLE
 # Entries per lane that one block strides: a lane this long stays in L2
 # while every (prime, offset) pair passes over it.
 _BLOCK = 1 << 19
+# Longest period of the presieve tile that starts every lane row: the
+# smallest strided primes whose product stays within it are copied, not
+# strided.
+_TILE_PERIOD = 1 << 16
 
 # Primes the mask-mode wheel removes by construction; 15 lanes.
 _WHEEL = (3, 5)
@@ -217,6 +228,43 @@ def _counter_dtype(start: int, count: int, offsets: tuple[int, ...]) -> type:
     return np.uint8 if bound <= 255 else np.uint16
 
 
+@functools.cache
+def _unit_inverses(value: int) -> np.ndarray:
+    """r^-1 mod value for every residue r coprime to value, 0 elsewhere.
+
+    Read-only, since every caller shares the one cached table.
+    """
+    table = np.array(
+        [pow(r, -1, value) if math.gcd(r, value) == 1 else 0 for r in range(value)],
+        dtype=np.int64,
+    )
+    table.setflags(write=False)
+    return table
+
+
+def _inverses(value: int, ps: np.ndarray) -> np.ndarray:
+    """value^-1 mod p for every prime p in ps, none of which divides value.
+
+    With j = -p^-1 mod value, 1 + j*p is a multiple of value, so
+    (1 + j*p) / value is the inverse, and it is below p. j depends only on
+    p mod value, which is read from a table of value entries.
+    """
+    j = -_unit_inverses(value)[ps % value] % value
+    return (1 + j * ps) // value
+
+
+def _fill_from_tile(view: np.ndarray, tile: np.ndarray, phase: int) -> None:
+    """Set view to the periodic tile from the given phase on: one period,
+    then copies of the filled prefix that double it. tile holds two
+    periods, so one period from any phase is one contiguous slice."""
+    filled = min(tile.size // 2, view.size)
+    view[:filled] = tile[phase : phase + filled]
+    while filled < view.size:
+        step = min(filled, view.size - filled)
+        view[filled : filled + step] = view[:step]
+        filled += step
+
+
 def _stride_blocks(start, count, primes, offsets, modulus, lanes, dtype, count_self_hits, reach=0):
     """The striding core: every (lane, offset, prime) hit, one block at a time.
 
@@ -224,10 +272,22 @@ def _stride_blocks(start, count, primes, offsets, modulus, lanes, dtype, count_s
     start + 2c + h + 2*modulus*t, so p | member exactly when
     t = -(start + 2c + h) / (2*modulus) mod p. Primes dividing modulus are
     skipped; the caller accounts for them through its choice of lanes.
-    Without self-hits, a triple whose first hit at t >= 0 is the member +p
-    starts one period later. That is exact unless a hit comes before +p,
-    which needs a member -p first; a member -p for a strided prime raises
-    InvariantError, since no caller has one.
+
+    The smallest of the other primes, as many as keep their product Q at
+    most _TILE_PERIOD, are not strided: their hits repeat with period Q in
+    t, in every lane, so one tile of Q entries holds them (u counts the
+    hits on 2*modulus*u + h). Member start + 2c + 2*modulus*t + h is
+    2*modulus*(sigma + t) + h mod Q for the lane's phase
+    sigma = (start + 2c) * (2*modulus)^-1 mod Q, so each row starts as the
+    tile from phase sigma + t_lo, and the rest of the primes are strided
+    into it. A basis with no tile prime gets a one-entry zero tile.
+
+    Without self-hits, a strided triple whose first hit at t >= 0 is the
+    member +p starts one period later, and the few entries where a member
+    equals a tile prime are set again from the tile primes directly. That
+    is exact unless a hit comes before +p, which needs a member -p first;
+    a member -p for any prime here raises InvariantError, since no caller
+    has one.
     Yields (t_lo, i, row) for t_lo = 0, _BLOCK, ... and, within each
     block, every lane index i in turn: row[j] covers t = t_lo + j of lane
     lanes[i] and holds its hit count (an integer dtype) or whether it was
@@ -237,42 +297,74 @@ def _stride_blocks(start, count, primes, offsets, modulus, lanes, dtype, count_s
     strides again. Every row is a view of one reused buffer, so consume
     each row before asking for the next.
     """
-    ps = np.array([p for p in primes.tolist() if modulus % p != 0], dtype=np.int64)
+    primes = np.asarray(primes, dtype=np.int64)
+    ps = primes[modulus % primes != 0]
     n_t = -(-count // modulus)
-    row = np.zeros(min(_BLOCK, n_t) + reach, dtype=dtype)
-    # Triples run lane by lane, then offset, then prime, so the lane's
-    # row stays in cache while every prime strides it.
-    inv = np.array([pow(2 * modulus, -1, p) for p in ps.tolist()], dtype=np.int64)
-    bases = np.array([start + 2 * c + h for c in lanes for h in offsets], dtype=np.int64)
-    t0 = ((-bases[:, None] % ps) * inv % ps).ravel()
-    step = np.broadcast_to(ps, (bases.size, ps.size)).ravel()
+    row = np.empty(min(_BLOCK, n_t) + reach, dtype=dtype)
+    counts = row.dtype != bool
+    inv = _inverses(2 * modulus, ps)
+    hs = np.array(offsets, dtype=np.int64)
+    bases = (start + 2 * np.array(lanes, dtype=np.int64)[:, None] + hs).ravel()
     if not count_self_hits:
-        twice = -ps[:, None] - np.array(offsets, dtype=np.int64) - start
+        twice = -ps[:, None] - hs - start
         if np.any((twice >= 0) & (twice % 2 == 0) & (twice < 2 * count)):
             raise InvariantError(
                 f"a member equals -p for a basis prime p, start {start}, count {count}"
             )
-        t0 += step * (np.repeat(bases, ps.size) + 2 * modulus * t0 == step)
-    steps = step.tolist()
-    per_lane = len(offsets) * ps.size
-    counts = row.dtype != bool
+    tiled, period = 0, 1
+    while tiled < ps.size and period * int(ps[tiled]) <= _TILE_PERIOD:
+        period *= int(ps[tiled])
+        tiled += 1
+    tile = np.zeros(2 * period, dtype=dtype)
+    tile_ps, tile_inv = ps[:tiled], inv[:tiled]
+    for h in offsets:
+        for p, u in zip(tile_ps.tolist(), (-h * tile_inv % tile_ps).tolist()):
+            if counts:
+                tile[u::p] += 1
+            else:
+                tile[u::p] = True
+    tile[period:] = tile[:period]
+    inverse = pow(2 * modulus, -1, period)
+    phases = [(start + 2 * c) * inverse % period for c in lanes]
+    # Entries with a member equal to a tile prime, set from the tile primes
+    # with that self-hit left out: lane index -> [(t, value)].
+    rechecks = {}
+    if not count_self_hits:
+        gap = tile_ps - bases[:, None]
+        which, where = np.nonzero((gap >= 0) & (gap % (2 * modulus) == 0))
+        for pair, q in zip(which.tolist(), where.tolist()):
+            i, t = pair // len(offsets), int(gap[pair, q]) // (2 * modulus)
+            members = start + 2 * lanes[i] + 2 * modulus * t + hs[:, None]
+            value = int(np.sum((members % tile_ps == 0) & (members != tile_ps)))
+            rechecks.setdefault(i, []).append((t, value))
+    ps, inv = ps[tiled:], inv[tiled:]
+    # Triples run lane by lane, then offset, then prime, so the lane's
+    # row stays in cache while every prime strides it.
+    t0 = (-bases[:, None] % ps) * inv % ps
+    if not count_self_hits:
+        t0 += ps * (bases[:, None] + 2 * modulus * t0 == ps)
+    steps = ps.tolist() * len(offsets)
+    per_lane = len(steps)
     # A 0-d array, so that no slice assignment converts a Python True:
     # that conversion is about a quarter of a short slice's cost.
     hit = np.ones((), dtype=bool)
     for t_lo in range(0, n_t, _BLOCK):
         # t0 may lie a period past its residue; max keeps that skip.
-        firsts = np.maximum(t0 - t_lo, (t0 - t_lo) % step).tolist()
+        firsts = np.maximum(t0 - t_lo, (t0 - t_lo) % ps).ravel().tolist()
         # A lane's last block is often a sliver of the buffer: fill, stride
         # and yield only its live entries.
         view = row[: min(_BLOCK, n_t - t_lo) + reach]
         for i in range(len(lanes)):
-            view.fill(0)
-            lane = slice(i * per_lane, (i + 1) * per_lane)
+            _fill_from_tile(view, tile, (phases[i] + t_lo) % period)
+            for t, value in rechecks.get(i, ()):
+                if t_lo <= t < t_lo + view.size:
+                    view[t - t_lo] = value
+            lane = firsts[i * per_lane : (i + 1) * per_lane]
             if counts:
-                for first, p in zip(firsts[lane], steps[lane]):
+                for first, p in zip(lane, steps):
                     view[first::p] += 1
             else:
-                for first, p in zip(firsts[lane], steps[lane]):
+                for first, p in zip(lane, steps):
                     view[first::p] = hit
             yield t_lo, i, view
 
@@ -499,7 +591,11 @@ def signal_sums(
 ) -> SignalSums:
     """Stream S_C over a window once, keeping only exact integer sums.
 
-    The blocks are `_signal_blocks`' one omega stride, and no array
+    The literal Σ S needs no block: p divides member start + 2r + h
+    exactly at r = rho = -(start + h) / 2 mod p, so each (prime, offset)
+    pair is hit at (count - 1 - rho) // p + 1 of the positions r < count,
+    and Σ S adds those counts. The zeros, the squares and the self-hit
+    reads come from `_signal_blocks`' one omega stride, and no array
     outlives a block. The proper variant differs from the literal one only
     at the self-hit positions: their literal values of S are read as their
     block passes, and the literal sums corrected there. The checks are
@@ -511,10 +607,12 @@ def signal_sums(
     hits, drops = np.unique(
         _self_hit_positions(start, count, basis.primes, offsets), return_counts=True
     )
+    ps = basis.primes.astype(np.int64)
+    rho = -(start + np.array(offsets, dtype=np.int64)[:, None]) % ps * _inverses(2, ps) % ps
+    total = int(np.sum((count - 1 - rho) // ps + 1))
     at_hits = np.zeros(hits.size, dtype=np.int64)
-    total = squares = zeros = strict = 0
+    squares = zeros = strict = 0
     for t_lo, block in _signal_blocks(start, count, basis.primes, offsets):
-        total += int(block.sum(dtype=np.uint64))
         zeros += block.size - int(np.count_nonzero(block))
         head = block[: max(in_range - t_lo, 0)]
         strict += head.size - int(np.count_nonzero(head))

@@ -24,7 +24,9 @@ first multiple of p). So each member's lane is sieved over its own index
 range, shifted by s, and lands in place in the one row; a lane shared by
 two first lanes is sieved once for each.
 
-`_wheel_modulus` picks W per window with one comparison. First members
+`_wheel_modulus` picks W per window with one comparison, which weighs
+the row entries the 210 wheel saves against the slice calls it adds,
+both from the tuple's count of admissible first lanes. First members
 below 31 are checked directly by trial division, which covers members
 equal to 3, 5, 7, 11, 13 or 17 (such as the pair (5, 7)), whose lanes the
 wheel and the tile would strike.
@@ -42,9 +44,10 @@ import numpy as np
 _ORACLE_CHUNK = 1 << 20
 # Each wheel modulus and the primes its tile presieves.
 _WHEELS = {30: (7, 11, 13), 210: (11, 13, 17)}
-# The 210 wheel is used once a 210-lane holds this many first members per
-# base prime: the crossover was near 290 for twins and 195 for (0, 2, 6).
-_WIDE_LANE_PER_PRIME = 240
+# Row entries that cost as much as one slice call, the one constant of
+# the wheel rule: twins cross near 290 first members per 210-lane and base
+# prime, (0, 2, 6) near 195 (README, oracle wheel crossover).
+_ENTRIES_PER_CALL = 68
 # First members below this are checked directly: from 31 up every member
 # exceeds 17, so only primes above every tile prime can equal one.
 _DIRECT_BELOW = 31
@@ -68,18 +71,31 @@ def _is_prime(n: int) -> bool:
     return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
-def _wheel_modulus(lane: int, primes: int) -> int:
+def _first_lanes(modulus: int, offsets: tuple[int, ...]) -> list[int]:
+    """The admissible first lanes c0: every c0 + h coprime to modulus."""
+    return [
+        c0 for c0 in range(1, modulus)
+        if all(math.gcd(c0 + h, modulus) == 1 for h in offsets)
+    ]
+
+
+def _wheel_modulus(lane: int, primes: int, offsets: tuple[int, ...]) -> int:
     """30 or 210, for a window whose 210-lanes hold `lane` first members
     and whose sieve strides about `primes` base primes.
 
-    The 210 wheel has 4 to 5 times as many admissible first lanes (twins,
-    (0, 2, 6)), each a seventh as long, so its rows hold 4/7 to 5/7 of the
-    entries; but while a row fits in one chunk, each costs one slice call
-    per prime and member, so it makes 4 to 5 times the calls. It pays only
-    once a lane is long against the number of primes striding it (README,
-    oracle wheel crossover).
+    With L30 and L210 admissible first lanes, the rows hold 7 * lane * L30
+    entries on the 30 wheel and lane * L210 on the 210 wheel, which is
+    fewer, but while a row fits in one chunk each first lane costs one
+    slice call per prime and member, so the 210 wheel makes
+    (L210 - L30) * k * primes more calls. It is picked once the entries it
+    saves are worth those calls. L210 / L30 is 5 for twins and 4 for
+    (0, 2, 6), so they cross at 4 and 3 times _ENTRIES_PER_CALL first
+    members per base prime.
     """
-    return 210 if lane >= _WIDE_LANE_PER_PRIME * primes else 30
+    narrow, wide = len(_first_lanes(30, offsets)), len(_first_lanes(210, offsets))
+    saved = lane * (7 * narrow - wide)
+    calls = len(offsets) * primes * (wide - narrow)
+    return 210 if saved >= _ENTRIES_PER_CALL * calls else 30
 
 
 def _tuple_tile(modulus: int, c0: int, offsets: tuple[int, ...]) -> np.ndarray:
@@ -123,15 +139,14 @@ def count_prime_tuples(anchor: int, end: int, offsets: tuple[int, ...]) -> int:
     if limit <= lo:
         return total
     base = _primes_upto(math.isqrt(end - 1))
-    modulus = _wheel_modulus(-(-(limit - lo) // 210), base.size)
+    modulus = _wheel_modulus(-(-(limit - lo) // 210), base.size, offsets)
     period = math.prod(_WHEELS[modulus])
     base = base[base > _WHEELS[modulus][-1]]
     inverse = np.array([pow(modulus, -1, p) for p in base.tolist()], dtype=np.int64)
     # Lane c0 holds the first members modulus * k + c0 with first <= k < last.
     ranges = {
         c0: (-((c0 - lo) // modulus), -((c0 - limit) // modulus))
-        for c0 in range(1, modulus)
-        if all(math.gcd(c0 + h, modulus) == 1 for h in offsets)
+        for c0 in _first_lanes(modulus, offsets)
     }
     if not ranges:
         return total

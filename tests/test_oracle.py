@@ -16,12 +16,14 @@ wraps.
 
 import ast
 import functools
+import json
 import math
 import tracemalloc
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 
 from hypothesis import example, given, settings
 from hypothesis.strategies import integers, sampled_from, sets
@@ -58,7 +60,7 @@ def _brute_count(window, offsets, is_prime=PRIME_FLAGS.__getitem__):
 
 def _oracle(window, constellation, chunk, modulus):
     with mock.patch.object(oracle, "_ORACLE_CHUNK", chunk), mock.patch.object(
-        oracle, "_wheel_modulus", lambda lane, primes: modulus
+        oracle, "_wheel_modulus", lambda lane, primes, offsets: modulus
     ):
         return classical_oracle_count(window, constellation)
 
@@ -231,3 +233,50 @@ def test_published_goldbach_counts():
     for k, want in enumerate(GOLDBACH_R, start=1):
         assert goldbach_count(10**k).count == want
     assert len(goldbach_count(10**6, survivors=True).survivors) == GOLDBACH_R[5]
+
+
+class _Chosen(Exception):
+    """Raised by the wheel spy, so that no window is sieved."""
+
+
+def _chosen_wheel(window, constellation):
+    """The wheel the oracle picks for a window, read before it sieves."""
+    chosen = []
+    pick = oracle._wheel_modulus
+
+    def spy(*args):
+        chosen.append(pick(*args))
+        raise _Chosen
+
+    with mock.patch.object(oracle, "_wheel_modulus", spy), pytest.raises(_Chosen):
+        classical_oracle_count(window, constellation)
+    return chosen[0]
+
+
+def test_wheel_rule_keeps_every_benchmark_window():
+    # large_window's oracle windows: strict windows near m0 = 1e4 take the
+    # 210 wheel, and both table1 windows near m0 = 4e3 the 30 wheel
+    reference = Path(__file__).resolve().parents[1] / "benchmarks" / "reference.json"
+    pools = json.loads(reference.read_text())["large_window"]["full"]
+    triple = Constellation("tuple_0_2_6", (0, 2, 6))
+    for key, constellation in (("twins", TWINS), ("triple", triple)):
+        for m0 in map(int, pools[key]):
+            window = Window(first_candidate_above(m0), m0 * m0)
+            assert _chosen_wheel(window, constellation) == 210, (key, m0)
+    for m0 in map(int, pools["table1"]):
+        for window in (Window(first_candidate_above(m0), m0 * m0), Window(7, m0 * m0 + 2)):
+            assert _chosen_wheel(window, TWINS) == 30, m0
+
+
+def test_wheel_rule_weighs_the_first_lanes():
+    # at 4e7 (231 first members per 210-lane and base prime), (0, 2, 6)
+    # was 9.2 ms on the 30 wheel against 7.7 ms on the 210 wheel, and twins
+    # 9.3 against 9.8 ms (README crossover table)
+    triple = Constellation("tuple_0_2_6", (0, 2, 6))
+    assert _chosen_wheel(Window(5, 4 * 10**7), triple) == 210
+    assert _chosen_wheel(Window(5, 4 * 10**7), TWINS) == 30
+    # twins cross at 4 * 68 = 272, (0, 2, 6) at 3 * 68 = 204
+    for constellation, crossing in ((TWINS, 272), (triple, 204)):
+        offsets = constellation.offsets
+        assert oracle._wheel_modulus(crossing * 1000, 1000, offsets) == 210
+        assert oracle._wheel_modulus(crossing * 1000 - 1, 1000, offsets) == 30

@@ -335,11 +335,12 @@ def test_survivors_are_a_read_only_ascending_int64_array():
     assert np.array_equal(results[0].survivors, results[1].survivors)
 
 
-def _sums_oracle(basis, window, constellation):
-    """The streamed sums, taken from whole-window brute-force signals."""
+def _sums_oracle(basis, window, constellation, signal=_brute_values):
+    """The streamed sums, taken from whole-window signals (brute force
+    unless another signal function is given)."""
     args = (window.anchor, window.positions, basis.primes, constellation.offsets)
-    literal = _brute_values(*args, True)
-    proper = _brute_values(*args, False)
+    literal = signal(*args, True).astype(np.int64)
+    proper = signal(*args, False).astype(np.int64)
     in_range = window.in_range_positions(constellation.span)
     return engine.SignalSums(
         positions=window.positions,
@@ -554,3 +555,131 @@ def test_counts_rows_hold_live_entries_and_reach(block, offsets):
         assert sums == _sums_oracle(basis, window, constellation)
         assert values.tolist() == _brute_values(*args, True).tolist()
         assert sizes and all(got == live for got, live in sizes), count
+
+
+def _reference_rows(start, count, primes, offsets, modulus, lanes, dtype, count_self_hits, reach):
+    """Every lane's whole row, zero-filled and then strided by every prime
+    not dividing modulus, each hit counted (or flagged) once per member."""
+    n_t = -(-count // modulus)
+    rows = []
+    for c in lanes:
+        row = np.zeros(n_t + reach, dtype=np.int64)
+        t = np.arange(row.size)
+        for p in primes.tolist():
+            if modulus % p == 0:
+                continue
+            for h in offsets:
+                base = start + 2 * c + h
+                row[-base * pow(2 * modulus, -1, p) % p :: p] += 1
+                if not count_self_hits:
+                    # the member +p is not a hit of its own prime
+                    row -= base + 2 * modulus * t == p
+        rows.append(row.astype(dtype))
+    return rows
+
+
+def _check_rows(start, count, primes, offsets, modulus, lanes, dtype, count_self_hits, reach=0):
+    args = (start, count, primes, offsets, modulus, lanes, dtype, count_self_hits, reach)
+    want = _reference_rows(*args)
+    seen = 0
+    for t_lo, i, row in engine._stride_blocks(*args):
+        assert row.dtype == dtype
+        assert row.tolist() == want[i][t_lo : t_lo + row.size].tolist(), (t_lo, lanes[i])
+        seen += row.size
+    n_t = -(-count // modulus)
+    blocks = -(-n_t // engine._BLOCK)
+    assert seen == len(lanes) * (n_t + blocks * reach)
+
+
+# Members from 3 up equal the tile primes of every tile: 3 to 13 for the
+# counts lane, 7 to 17 on the 15 wheel, 11 to 19 on the 105 wheel.
+TILE_STARTS = range(3, 24, 2)
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+@pytest.mark.parametrize("count_self_hits", [True, False])
+@pytest.mark.parametrize("m0", [5, 7, 61])
+def test_counts_rows_start_from_the_tile(block, count_self_hits, m0):
+    # the single counts lane: tile primes 3, 5, 7, 11 and 13 (fewer below
+    # m0 = 13), the rest strided, rows reaching 1 or 3 entries past a block
+    primes = build_basis(m0).primes
+    with mock.patch.object(engine, "_BLOCK", block):
+        for start in TILE_STARTS:
+            for reach in (1, 3):
+                _check_rows(start, 300, primes, (0,), 1, [0], np.uint8, count_self_hits, reach)
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+@pytest.mark.parametrize("count_self_hits", [True, False])
+@pytest.mark.parametrize("modulus", [15, 105])
+@pytest.mark.parametrize("m0", [5, 7, 61])
+def test_mask_rows_start_from_the_tile(block, count_self_hits, modulus, m0):
+    # every lane of the 15 and 105 wheels, tile primes 7 to 17 or 11 to 19;
+    # m0 = 5 leaves no tile prime, and m0 = 7 none on the 105 wheel
+    primes = build_basis(m0).primes
+    with mock.patch.object(engine, "_BLOCK", block):
+        for start in TILE_STARTS:
+            for offsets in ((0, 2), (0, 2, 6)):
+                _check_rows(start, 40 * modulus - 3, primes, offsets, modulus,
+                            list(range(modulus)), bool, count_self_hits)
+
+
+def test_tile_periods():
+    # the smallest strided primes whose product stays within the cap
+    calls = []
+    fill = engine._fill_from_tile
+
+    def spy(view, tile, phase):
+        calls.append(tile.size // 2)
+        return fill(view, tile, phase)
+
+    primes = build_basis(101).primes
+    with mock.patch.object(engine, "_fill_from_tile", spy):
+        for modulus, period in ((1, 3 * 5 * 7 * 11 * 13), (15, 7 * 11 * 13 * 17),
+                                (105, 11 * 13 * 17 * 19)):
+            calls.clear()
+            list(engine._stride_blocks(7, 1000, primes, (0, 2), modulus, [1], bool, True))
+            assert set(calls) == {period} and period <= engine._TILE_PERIOD
+
+
+def test_inverses_match_pow():
+    primes = build_basis(math.isqrt(engine.MAX_WINDOW_END) | 1).primes
+    for modulus in (1, 15, 105):
+        ps = primes[modulus % primes != 0]
+        want = [pow(2 * modulus, -1, p) for p in ps.tolist()]
+        assert engine._inverses(2 * modulus, ps).tolist() == want
+
+
+def test_goldbach_matches_brute_force_for_every_small_even():
+    # every E in [8, 4000]: members equal to the tile primes 7 to 17 lie in
+    # the first rows of the 15 wheel's lanes, where the tile holds their
+    # self-hits
+    for even in range(8, 4001, 2):
+        n = np.arange(3, even // 2 + 1, 2)
+        want = n[PRIME_FLAGS[n] & PRIME_FLAGS[even - n]]
+        assert goldbach_count(even).count == want.size, even
+        assert goldbach_count(even, survivors=True).survivors.tolist() == want.tolist(), even
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sets(sampled_from(range(2, 27, 2)), max_size=3),
+    integers(min_value=0, max_value=10**6),
+    integers(min_value=1, max_value=400),
+    integers(min_value=1, max_value=400_000),
+)
+# 20 positions, values 5 to 43, against primes up to 61: 47, 53, 59 and
+# 61 first divide a member past the window's last position
+@example(set(), 0, 30, 40)
+# one position (members 11, 13 and 17), shorter than every prime
+@example({2, 6}, 1, 30, 1)
+def test_signal_sums_match_signal_values(offsets, anchor_seed, m0_half, length):
+    # windows far longer than the brute-force ones; the literal Σ S comes
+    # from each (prime, offset) pair's closed-form count of hits
+    constellation = Constellation("drawn", (0, *sorted(offsets)))
+    assume(is_admissible(constellation).admissible)
+    anchor = 6 * anchor_seed + 5
+    basis, window = build_basis(2 * m0_half + 1), Window(anchor, anchor + length)
+    assert signal_sums(basis, window, constellation) == _sums_oracle(
+        basis, window, constellation, signal_values
+    )
