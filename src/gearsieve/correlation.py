@@ -379,7 +379,9 @@ def weighted_float_sum(tables, positions: int, stride: int, divisor: int, shift:
             acc = np.full(min(_SUM_CHUNK, hi - j), const)
             for p, residues, factors in corrections:
                 for t, f in zip(residues, factors):
-                    acc[(t - j) % p :: p] *= f
+                    # In place: acc[...] *= f would copy the view back too.
+                    strided = acc[(t - j) % p :: p]
+                    strided *= f
             # In place: the weights R - s j are integers below 2^53, so exact.
             acc -= shift
             acc *= np.arange(r - s * j, r - s * (j + acc.size), -s, dtype=np.float64)

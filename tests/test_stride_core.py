@@ -5,8 +5,10 @@ down to a few bytes' worth of entries), which puts block edges inside
 windows small enough for the classical oracle.
 """
 
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -399,6 +401,37 @@ def test_signal_sums_take_the_wide_counter():
             assert signal_sums(basis, window, constellation) == want
 
 
+def test_sum_of_squares_is_exact():
+    # 2^19 + 3 squares of 255 sum to about 3.4e10, past a plain uint32 sum,
+    # and the wide counter's squares of 65535 to about 2.3e15
+    size = (1 << 19) + 3
+    for top, dtype in ((255, np.uint16), (65535, np.uint32)):
+        block = np.full(size, top * top, dtype=dtype)
+        assert engine._sum_of_squares(block) == top * top * size
+        assert engine._sum_of_squares(block[: (1 << 16) + 1]) == top * top * ((1 << 16) + 1)
+        assert engine._sum_of_squares(block[:0]) == 0
+    block = np.random.default_rng(24).integers(0, 256, size).astype(np.uint16) ** 2
+    assert engine._sum_of_squares(block) == sum(block.tolist())
+
+
+@pytest.mark.parametrize("offsets", [(0, 2), (0, 2, 6)])
+@pytest.mark.parametrize("edge", [0, -1, 1])
+def test_signal_sums_at_the_in_range_block_edge(offsets, edge):
+    # in_range falls on a block edge (0), one entry before it (-1) or one
+    # after it (+1), with that edge closing the first block or a later
+    # one. The last position, 881 (881, 883 and 887 are prime), is a
+    # literal zero past in_range, which strict must not count.
+    constellation = Constellation("drawn", offsets)
+    basis, window = build_basis(31), Window(7, 883)
+    want = _sums_oracle(basis, window, constellation)
+    assert _brute_values(881, 1, basis.primes, offsets, True)[0] == 0
+    edge_at = window.in_range_positions(constellation.span) - edge
+    first_factor = next(k for k in range(2, edge_at + 1) if edge_at % k == 0)
+    for blocks in (1, first_factor):
+        with mock.patch.object(engine, "_BLOCK", edge_at // blocks):
+            assert signal_sums(basis, window, constellation) == want
+
+
 @pytest.mark.parametrize(
     "offsets",
     [(0, 2), (0, 2, 6), (0, 2, 6, 8, 12, 18, 20, 26, 30, 32, 36, 42, 48, 50, 56, 62)],
@@ -682,4 +715,24 @@ def test_signal_sums_match_signal_values(offsets, anchor_seed, m0_half, length):
     basis, window = build_basis(2 * m0_half + 1), Window(anchor, anchor + length)
     assert signal_sums(basis, window, constellation) == _sums_oracle(
         basis, window, constellation, signal_values
+    )
+
+
+def test_no_augmented_assignment_to_a_stepped_slice():
+    # x[a::p] += y updates the strided view in place and then copies it
+    # back onto itself, a second strided pass; the view is updated alone
+    # as `strided = x[a::p]; strided += y`.
+    found = []
+    for path in sorted(Path(engine.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Subscript):
+                if any(
+                    isinstance(part, ast.Slice) and part.step is not None
+                    for part in ast.walk(node.target.slice)
+                ):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert not found, (
+        f"augmented assignment to a stepped slice at {', '.join(found)}: the copy-back "
+        "is a second strided pass, 22% of the counts stride's time at m0 = 4077; "
+        "write `strided = x[a::p]; strided += y`"
     )
