@@ -23,15 +23,16 @@ only the wheel lanes: the positions r mod 15 where no member is divisible
 by 3 or 5, or r mod 105 on long windows, where 7 is removed too. One walk
 over those lane rows, one core call, serves both a count, which sums each
 row's unhit entries, and a survivor list, which collects their positions.
-Under the proper-multiples variant the core skips each lane's self-hit,
-and the few positions with a member equal to a wheel prime are checked
-directly. Counts mode strides one lane for offset 0 alone: the offsets
-are even, so S_C(r) is the sum of omega, the count of basis primes
-dividing one member, at r + h/2 over the offsets h. Each block's S is
-built from shifted views of that one omega row; `signal_values` keeps
-it per position, and `signal_sums` sums it exactly and keeps nothing,
-taking the literal sum of S in closed form from each (prime, offset)
-pair's count of hits.
+Under the proper-multiples variant the core skips each lane's self-hit
+of a prime it strides, and the few positions with a member equal to a
+prime it does not stride are checked directly: 3, 5 and 7 off the lanes,
+and the tile primes, 7 to 19, inside them. Counts mode strides one lane
+for offset 0 alone: the offsets are even, so S_C(r) is the sum of omega,
+the count of basis primes dividing one member, at r + h/2 over the
+offsets h. Each block's S is built from shifted views of that one omega
+row; `signal_values` keeps it per position, and `signal_sums` sums it
+exactly and keeps nothing, taking the literal sum of S in closed form
+from each (prime, offset) pair's count of hits.
 """
 
 from __future__ import annotations
@@ -265,6 +266,36 @@ def _fill_from_tile(view: np.ndarray, tile: np.ndarray, phase: int) -> None:
         filled += step
 
 
+def _tile_primes(ps: np.ndarray) -> np.ndarray:
+    """The presieve tile's primes: the smallest of the ascending primes ps,
+    as many as keep their product within _TILE_PERIOD."""
+    tiled, period = 0, 1
+    while tiled < ps.size and period * int(ps[tiled]) <= _TILE_PERIOD:
+        period *= int(ps[tiled])
+        tiled += 1
+    return ps[:tiled]
+
+
+def _strike(view: np.ndarray, firsts: list[int], steps: list[int]) -> None:
+    """Mark the hits first, first + p, ... of every (first, p) pair in view.
+
+    A bool view sets each slice; an integer view adds 1 to it in place on
+    the strided view: `view[first::p] += 1` would also write the view back
+    onto itself, a second strided pass: 22% of the counts stride's time
+    over the m0 = 4077 window, 30% at m0 = 10001. Either way the 1 is a
+    0-d array of the view's dtype: a slice update from a Python scalar
+    converts it on every call, about a quarter of a short slice's cost.
+    """
+    one = np.ones((), dtype=view.dtype)
+    if view.dtype == bool:
+        for first, p in zip(firsts, steps):
+            view[first::p] = one
+    else:
+        for first, p in zip(firsts, steps):
+            strided = view[first::p]
+            strided += one
+
+
 def _stride_blocks(start, count, primes, offsets, modulus, lanes, dtype, count_self_hits, reach=0):
     """The striding core: every (lane, offset, prime) hit, one block at a time.
 
@@ -273,25 +304,21 @@ def _stride_blocks(start, count, primes, offsets, modulus, lanes, dtype, count_s
     t = -(start + 2c + h) / (2*modulus) mod p. Primes dividing modulus are
     skipped; the caller accounts for them through its choice of lanes.
 
-    The smallest of the other primes, as many as keep their product Q at
-    most _TILE_PERIOD, are not strided: their hits repeat with period Q in
-    t, in every lane, so one tile of Q entries holds them (u counts the
-    hits on 2*modulus*u + h). Member start + 2c + 2*modulus*t + h is
-    2*modulus*(sigma + t) + h mod Q for the lane's phase
+    The `_tile_primes` of the other primes, the smallest whose product Q
+    stays within _TILE_PERIOD, are not strided: their hits repeat with
+    period Q in t, in every lane, so one tile of Q entries holds them (u
+    counts the hits on 2*modulus*u + h). Member start + 2c + 2*modulus*t + h
+    is 2*modulus*(sigma + t) + h mod Q for the lane's phase
     sigma = (start + 2c) * (2*modulus)^-1 mod Q, so each row starts as the
     tile from phase sigma + t_lo, and the rest of the primes are strided
     into it. A basis with no tile prime gets a one-entry zero tile.
 
     Without self-hits, a strided triple whose first hit at t >= 0 is the
-    member +p starts one period later, and the few entries where a member
-    equals a tile prime are set again from the tile primes directly. That
-    is exact unless a hit comes before +p, which needs a member -p first;
-    a member -p for any prime here raises InvariantError, since no caller
-    has one.
-    A counts-mode hit is added in place on the strided view, from a 0-d
-    array of the row dtype: `view[first::p] += 1` would also write the
-    view back onto itself, a second strided pass: 22% of the counts
-    stride's time over the m0 = 4077 window, 30% at m0 = 10001.
+    member +p starts one period later. That is exact unless a hit comes
+    before +p, which needs a member -p first; a member -p for any prime
+    here raises InvariantError, since no caller has one. A member equal to
+    a tile prime keeps its literal hit from the tile: the caller checks
+    those few positions directly.
     Yields (t_lo, i, row) for t_lo = 0, _BLOCK, ... and, within each
     block, every lane index i in turn: row[j] covers t = t_lo + j of lane
     lanes[i] and holds its hit count (an integer dtype) or whether it was
@@ -305,7 +332,6 @@ def _stride_blocks(start, count, primes, offsets, modulus, lanes, dtype, count_s
     ps = primes[modulus % primes != 0]
     n_t = -(-count // modulus)
     row = np.empty(min(_BLOCK, n_t) + reach, dtype=dtype)
-    counts = row.dtype != bool
     inv = _inverses(2 * modulus, ps)
     hs = np.array(offsets, dtype=np.int64)
     bases = (start + 2 * np.array(lanes, dtype=np.int64)[:, None] + hs).ravel()
@@ -315,36 +341,14 @@ def _stride_blocks(start, count, primes, offsets, modulus, lanes, dtype, count_s
             raise InvariantError(
                 f"a member equals -p for a basis prime p, start {start}, count {count}"
             )
-    tiled, period = 0, 1
-    while tiled < ps.size and period * int(ps[tiled]) <= _TILE_PERIOD:
-        period *= int(ps[tiled])
-        tiled += 1
-    # A 0-d array of the row dtype: a slice update from a Python scalar
-    # converts it on every call, about a quarter of a short slice's cost.
-    one = np.ones((), dtype=dtype)
+    tile_ps = _tile_primes(ps)
+    tiled, period = tile_ps.size, math.prod(tile_ps.tolist())
     tile = np.zeros(2 * period, dtype=dtype)
-    tile_ps, tile_inv = ps[:tiled], inv[:tiled]
-    for h in offsets:
-        for p, u in zip(tile_ps.tolist(), (-h * tile_inv % tile_ps).tolist()):
-            if counts:
-                strided = tile[u::p]
-                strided += one
-            else:
-                tile[u::p] = one
+    tile_firsts = (-hs[:, None] * inv[:tiled] % tile_ps).ravel().tolist()
+    _strike(tile, tile_firsts, tile_ps.tolist() * len(offsets))
     tile[period:] = tile[:period]
     inverse = pow(2 * modulus, -1, period)
     phases = [(start + 2 * c) * inverse % period for c in lanes]
-    # Entries with a member equal to a tile prime, set from the tile primes
-    # with that self-hit left out: lane index -> [(t, value)].
-    rechecks = {}
-    if not count_self_hits:
-        gap = tile_ps - bases[:, None]
-        which, where = np.nonzero((gap >= 0) & (gap % (2 * modulus) == 0))
-        for pair, q in zip(which.tolist(), where.tolist()):
-            i, t = pair // len(offsets), int(gap[pair, q]) // (2 * modulus)
-            members = start + 2 * lanes[i] + 2 * modulus * t + hs[:, None]
-            value = int(np.sum((members % tile_ps == 0) & (members != tile_ps)))
-            rechecks.setdefault(i, []).append((t, value))
     ps, inv = ps[tiled:], inv[tiled:]
     # Triples run lane by lane, then offset, then prime, so the lane's
     # row stays in cache while every prime strides it.
@@ -361,19 +365,7 @@ def _stride_blocks(start, count, primes, offsets, modulus, lanes, dtype, count_s
         view = row[: min(_BLOCK, n_t - t_lo) + reach]
         for i in range(len(lanes)):
             _fill_from_tile(view, tile, (phases[i] + t_lo) % period)
-            for t, value in rechecks.get(i, ()):
-                if t_lo <= t < t_lo + view.size:
-                    view[t - t_lo] = value
-            lane = firsts[i * per_lane : (i + 1) * per_lane]
-            if counts:
-                # In place on the strided view: view[first::p] += 1 would
-                # also copy the view back onto itself, a second pass.
-                for first, p in zip(lane, steps):
-                    strided = view[first::p]
-                    strided += one
-            else:
-                for first, p in zip(lane, steps):
-                    view[first::p] = one
+            _strike(view, firsts[i * per_lane : (i + 1) * per_lane], steps)
             yield t_lo, i, view
 
 
@@ -472,9 +464,11 @@ def _zero_walk(start, count, primes, offsets, count_self_hits):
     yields each lane's row, block by block; blocks ascend, but the lanes of
     one block interleave. A lane row is the core's reused buffer, so
     consume it before asking for the next. Without self-hits, the core
-    skips each lane member +p, and a position with a member +-q for a
-    wheel prime q, off the lanes, follows as a one-entry row (r, 1, hit),
-    checked directly against the whole basis.
+    skips each lane member +p of a prime it strides. A position with a
+    member +-q for a prime q it does not stride, a wheel prime (off the
+    lanes) or a tile prime (inside them, where the row holds q's literal
+    hit), follows as a one-entry row (r, 1, hit), checked directly against
+    the whole basis: it is the position's only unhit reading.
     """
     in_basis = set(primes.tolist())
     wheel = [q for q in _count_wheel(count, primes) if q in in_basis]
@@ -492,7 +486,8 @@ def _zero_walk(start, count, primes, offsets, count_self_hits):
             yield lanes[i] + modulus * t_lo, modulus, row[:width]
     if count_self_hits:
         return
-    for r in set(_self_hit_positions(start, count, wheel, offsets).tolist()):
+    unstrided = wheel + _tile_primes(primes[modulus % primes != 0]).tolist()
+    for r in set(_self_hit_positions(start, count, unstrided, offsets).tolist()):
         members = start + 2 * r + np.array(offsets, dtype=np.int64)[:, None]
         yield r, 1, np.array([np.any((members % primes == 0) & (np.abs(members) != primes))])
 

@@ -10,6 +10,10 @@ segment of first members p is sieved with its mirror E - p, and the two
 are ANDed. Its base primes come from its own small sieve. It streams the
 p into a sha256 digest too, which checks the list of first members at
 that E, and at the E where goldbach_count's wheel lanes cross a block.
+
+The certified twin starts of the largest window, [7, 31621^2), are checked
+the same way: a segmented sieve of the classes 6k + 5 and 6k + 7 streams
+every twin start into a digest of the survivors `scan` certifies.
 """
 
 import hashlib
@@ -19,7 +23,8 @@ import random
 import numpy as np
 import pytest
 
-from gearsieve.engine import goldbach_count
+from gearsieve.constellations import TWINS
+from gearsieve.engine import Window, build_basis, certify, composite_signal, goldbach_count
 
 LIMIT = 10**8
 # 2*3*5*...*19 has the most small prime factors below 10^8, each of which
@@ -180,3 +185,45 @@ def test_goldbach_survivors_at_the_top_of_the_domain(top_pairs):
     # every first member, not only their number, streamed into one digest
     result = goldbach_count(_TOP_E, survivors=True)
     assert (result.count, _digest(result.survivors)) == top_pairs
+
+
+def _segmented_twins(m0, segment=1 << 22):
+    """Twin starts p with m0 < p and p + 2 < m0^2, a segment at a time.
+
+    Above 3 a twin pair is (6k + 5, 6k + 7), so each segment marks a run
+    of k where a prime q from 5 to m0 divides either member: q | 6k + a
+    exactly when k = -a / 6 mod q. Every member lies above m0, so no q
+    crosses itself off. Returns the count of p and the sha256 of the
+    ascending p as int64 bytes. A segment of 2^22 k is one 4 MB row, 40
+    of them at m0 = 31621.
+    """
+    base = _odd_primes_upto(m0)[1:].tolist()
+    inverses = [pow(6, -1, q) for q in base]
+    k_lo, k_end = (m0 - 5) // 6 + 1, (m0 * m0 - 2) // 6
+    count, digest = 0, hashlib.sha256()
+    for lo in range(k_lo, k_end, segment):
+        both = np.ones(min(segment, k_end - lo), dtype=bool)
+        for a in (5, 7):
+            for q, inverse in zip(base, inverses):
+                both[-(a + 6 * lo) * inverse % q :: q] = False
+        ps = 6 * (lo + np.flatnonzero(both).astype(np.int64)) + 5
+        count += ps.size
+        digest.update(ps.tobytes())
+    return count, digest.hexdigest()
+
+
+@pytest.mark.parametrize("m0", [5, 7, 101, 301])
+def test_segmented_twins_match_a_whole_sieve(m0):
+    # short segments, so that many segment edges fall inside the range
+    ps = _odd_primes_upto(m0 * m0)
+    starts = ps[:-1][(np.diff(ps) == 2) & (ps[:-1] > m0)]
+    assert _segmented_twins(m0, 64) == (starts.size, _digest(starts))
+
+
+def test_certified_twins_at_the_top_of_the_domain():
+    # the literal signal kills every member that is a basis prime, so the
+    # certified starts are the twin starts above m0 in the largest window
+    m0 = 31621
+    trace = composite_signal(build_basis(m0), Window.for_capacity(m0), TWINS, mode="mask")
+    result = certify(trace, survivors=True)
+    assert (result.count, _digest(result.survivors)) == _segmented_twins(m0)

@@ -264,6 +264,10 @@ def test_member_minus_p_is_rejected():
     # no member is -p, which no caller has, so the walk refuses one
     with pytest.raises(InvariantError):
         engine._survivor_count(1, 50, build_basis(11).primes, (0, -20), False)
+    # r = 0 has the members 1 and -23; the 15 wheel's tile is 7*11*13*17,
+    # so -23 is the only -p member and 23 a prime the core strides
+    with pytest.raises(InvariantError):
+        engine._survivor_count(1, 1, build_basis(31).primes, (0, -24), False)
 
 
 def test_proper_mask_walk_makes_one_core_call():
@@ -593,19 +597,24 @@ def test_counts_rows_hold_live_entries_and_reach(block, offsets):
 def _reference_rows(start, count, primes, offsets, modulus, lanes, dtype, count_self_hits, reach):
     """Every lane's whole row, zero-filled and then strided by every prime
     not dividing modulus, each hit counted (or flagged) once per member."""
+    ps = [p for p in primes.tolist() if modulus % p != 0]
+    # the tile primes: the smallest, while their product stays in the period
+    tiled, period = 0, 1
+    while tiled < len(ps) and period * ps[tiled] <= engine._TILE_PERIOD:
+        period *= ps[tiled]
+        tiled += 1
     n_t = -(-count // modulus)
     rows = []
     for c in lanes:
         row = np.zeros(n_t + reach, dtype=np.int64)
         t = np.arange(row.size)
-        for p in primes.tolist():
-            if modulus % p == 0:
-                continue
+        for k, p in enumerate(ps):
             for h in offsets:
                 base = start + 2 * c + h
                 row[-base * pow(2 * modulus, -1, p) % p :: p] += 1
-                if not count_self_hits:
-                    # the member +p is not a hit of its own prime
+                if not count_self_hits and k >= tiled:
+                    # the member +p is not a hit of its own strided prime; a
+                    # tile prime's self-hit stays, for the walk to check
                     row -= base + 2 * modulus * t == p
         rows.append(row.astype(dtype))
     return rows
@@ -686,7 +695,7 @@ def test_inverses_match_pow():
 def test_goldbach_matches_brute_force_for_every_small_even():
     # every E in [8, 4000]: members equal to the tile primes 7 to 17 lie in
     # the first rows of the 15 wheel's lanes, where the tile holds their
-    # self-hits
+    # literal hits and the walk checks those positions directly
     for even in range(8, 4001, 2):
         n = np.arange(3, even // 2 + 1, 2)
         want = n[PRIME_FLAGS[n] & PRIME_FLAGS[even - n]]
