@@ -200,9 +200,12 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 def _cmd_tau(args: argparse.Namespace) -> int:
     rows = tau_table(_parse_offsets(args.tuple), args.p)
-    print("d,tau_num,tau_den,case")
-    for row in rows:
-        print(f"{row.d},{row.tau.numerator},{row.tau.denominator},{row.case_label}")
+    # One write of the whole table: at p = 997, a print per row into a
+    # file took 1.6-1.7 ms against 0.42-0.47 ms.
+    lines = "".join(
+        f"{row.d},{row.tau.numerator},{row.tau.denominator},{row.case_label}\n" for row in rows
+    )
+    sys.stdout.write("d,tau_num,tau_den,case\n" + lines)
     return 0
 
 

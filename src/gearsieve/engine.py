@@ -65,9 +65,15 @@ MAX_TAU_P = math.isqrt(MAX_WINDOW_END)
 # move the product by about 2e-15.
 MAX_PRODUCT_PMAX = MAX_PRIME_TABLE
 
-# Entries per lane that one block strides: a lane this long stays in L2
-# while every (prime, offset) pair passes over it.
-_BLOCK = 1 << 19
+# Entries per lane that one block strides. A 1 MiB bool or uint8 row stays
+# in a 2 MiB L2 while every (prime, offset) pair passes over it, and a long
+# lane makes half the slice calls it made with 2^19-entry blocks (README,
+# Engine notes, has the measurements at 2^19, 2^20 and 2^21).
+_BLOCK = 1 << 20
+# Positions SignalTrace.zero_bits packs at a time: a multiple of 8, so each
+# piece is whole bytes. It is kept apart from _BLOCK, so the packing's
+# memory does not follow the core's block.
+_PACK = 1 << 19
 # Longest period of the presieve tile that starts every lane row: the
 # smallest strided primes whose product stays within it are copied, not
 # strided.
@@ -141,7 +147,8 @@ class SignalTrace:
     certify each walk the window again, so a trace that is only counted
     never collects a survivor. zero_bits is None in counts mode; in mask
     mode it packs one bit per position, set where S_C(r) = 0, big-endian,
-    from a fresh survivor list on each read.
+    from a fresh survivor list on each read, through a bool mask of _PACK
+    positions, not of the core's block.
     in_range is the count of leading positions eligible for certification.
     """
 
@@ -161,13 +168,12 @@ class SignalTrace:
     def zero_bits(self) -> np.ndarray | None:
         if self.values is not None:
             return None
-        # Packed one block of positions at a time, so no mask spans the
-        # window; a block is a whole number of bytes.
+        # Packed _PACK positions at a time, so no mask spans the window.
         n = self.window.positions
         positions = _survivor_positions(*self._core_args(n))
         bits = np.empty(-(-n // 8), dtype=np.uint8)
-        mask = np.empty(min(_BLOCK, n), dtype=bool)
-        for lo in range(0, n, _BLOCK):
+        mask = np.empty(min(_PACK, n), dtype=bool)
+        for lo in range(0, n, _PACK):
             block = mask[: n - lo]
             block.fill(False)
             first, stop = np.searchsorted(positions, (lo, lo + block.size))
@@ -596,7 +602,7 @@ def _sum_of_squares(block: np.ndarray) -> int:
     255^2 = 65025, so any 2^16 of them sum below 2^32: the block is summed
     in uint32 over chunks of 2^16 entries, and the chunk sums are added as
     ints. That spares the cast of every entry to uint64, most of the cost
-    of a 2^19-entry block's uint64 sum. A uint32 block (the squares of a
+    of a 2^20-entry block's uint64 sum. A uint32 block (the squares of a
     uint16 counter) sums in uint64, below 2^51 for any block.
     """
     if block.dtype != np.uint16:

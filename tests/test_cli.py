@@ -521,6 +521,13 @@ def test_report_stdout_is_unchanged(capsys, argv, sha256):
         # 78,498 primes up to the span, more than one list chunk
         (["admissible", "0,2,6,999998"],
          "35b2efdea1c907e4c667943767030bf92ba5cb980b351b88d29a93219fadc5ff"),
+        # taken when tau printed its header and each row with its own print
+        (["tau", "--p", "5"],
+         "19531c59731cd0cc90c293d9b6455e95e88e1bf173c8449410319451f399a585"),
+        (["tau", "--p", "997", "--tuple", "0,2,6"],
+         "d2299abc3e17eb594a28ea0e183594231832ef49a5d46228b091826f4d12c4f8"),
+        (["tau", "--p", "1999", "--tuple", "0,4"],
+         "0a92637a9175d23b086c3f854d70269a1fe8272aea5a400ab76eb4ba2d69cca1"),
     ],
 )
 def test_point_query_stdout_is_unchanged(capsys, argv, sha256):

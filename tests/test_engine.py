@@ -1,7 +1,9 @@
 """Windowed signal evaluation, certification, and the classical oracle."""
 
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -21,6 +23,7 @@ from gearsieve.engine import (
     signal_values,
     torus_average,
 )
+from gearsieve.harness import sweep_basis
 
 
 def _local_prime_set(limit):
@@ -292,3 +295,40 @@ def test_torus_average_exact():
 def test_torus_average_rejects_large_modulus():
     with pytest.raises(ValueError):
         torus_average((101, 103, 107, 109, 113), TWINS)
+
+
+class _Chosen(Exception):
+    """Raised by the wheel spy, so that no lane is strided."""
+
+
+def _chosen_count_wheel(run):
+    """The wheel `_count_wheel` picks for the mask walk that run() starts."""
+    chosen = []
+    pick = engine._count_wheel
+
+    def spy(count, primes):
+        chosen.append(pick(count, primes))
+        raise _Chosen
+
+    with mock.patch.object(engine, "_count_wheel", spy), pytest.raises(_Chosen):
+        run()
+    return chosen[0]
+
+
+def test_count_wheel_keeps_every_benchmark_input():
+    # large_window's scans (twins and (0, 2, 6) near m0 = 1e4, counted
+    # over in_range) take the 105 wheel; point_queries' Goldbach range,
+    # E from 1e6 to 1e8, takes the 15 wheel
+    reference = Path(__file__).resolve().parents[1] / "benchmarks" / "reference.json"
+    pools = json.loads(reference.read_text())["large_window"]["full"]
+    triple = Constellation("tuple_0_2_6", (0, 2, 6))
+    for key, constellation in (("twins", TWINS), ("triple", triple)):
+        for m0 in map(int, pools[key]):
+            trace = composite_signal(
+                sweep_basis(m0), Window.for_capacity(m0), constellation, mode="mask"
+            )
+            assert _chosen_count_wheel(lambda: certify(trace)) == (3, 5, 7), (key, m0)
+    evens = {2 * round(10 ** (6 + i / 32) / 2) for i in range(65)}
+    assert min(evens) == 10**6 and max(evens) == 10**8
+    for even in sorted(evens):
+        assert _chosen_count_wheel(lambda: goldbach_count(even)) == (3, 5), even

@@ -147,16 +147,21 @@ def _longest_live_lane(even):
 
 
 # Near E = 60 * 2^19 the lanes of the 15 wheel, which the count rule picks
-# up to E = 10^8, pass one block of 2^19 entries. Just below, the longest
-# live lane fills one block; just above, its last block holds one entry.
-# With 15 | E, 8 of the 15 lanes are strided; with 3 and 5 both not
-# dividing E, only 3 are.
+# up to E = 10^8, pass 2^19 entries, and near E = 60 * 2^20 they pass
+# 2^20, one block of the core. Just below 2^20 the longest live lane ends
+# one entry short of its block, at 2^20 it fills the block, and just above
+# its last block holds one entry. With 15 | E, 8 of the 15 lanes are
+# strided; with 3 and 5 both not dividing E, only 3 are.
 BLOCK_EDGE_EVENS = [
     (31_457_280, 1 << 19),  # 15 | E
     (31_457_282, 1 << 19),
     (31_457_294, (1 << 19) + 1),
     (31_457_310, (1 << 19) + 1),  # 15 | E
-    (62_914_574, (1 << 20) + 1),  # just past two blocks
+    (62_914_454, (1 << 20) - 1),
+    (62_914_470, (1 << 20) - 1),  # 15 | E
+    (62_914_560, 1 << 20),  # 15 | E
+    (62_914_562, 1 << 20),
+    (62_914_574, (1 << 20) + 1),
     (LIMIT, 1_666_667),  # the top point_queries query
 ]
 

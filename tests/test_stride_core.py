@@ -210,7 +210,9 @@ def test_lazy_mask_count_matches_built_bits(
         collected.append(args)
         return collect(*args)
 
+    # every block size is a multiple of 8, so it is a packing step too
     with mock.patch.object(engine, "_BLOCK", block), \
+            mock.patch.object(engine, "_PACK", block), \
             mock.patch.object(engine, "_survivor_positions", spy):
         bits = lazy.zero_bits
         assert np.array_equal(lazy.zero_bits, bits)
@@ -636,9 +638,12 @@ def _check_rows(start, count, primes, offsets, modulus, lanes, dtype, count_self
 # Members from 3 up equal the tile primes of every tile: 3 to 13 for the
 # counts lane, 7 to 17 on the 15 wheel, 11 to 19 on the 105 wheel.
 TILE_STARTS = range(3, 24, 2)
+# Blocks for the tile-row tests: three that split their rows, and one
+# longer than every row there, as the engine's own block is.
+TILE_ROW_BLOCKS = (8, 16, 64, 1 << 19)
 
 
-@pytest.mark.parametrize("block", BLOCK_SIZES)
+@pytest.mark.parametrize("block", TILE_ROW_BLOCKS)
 @pytest.mark.parametrize("count_self_hits", [True, False])
 @pytest.mark.parametrize("m0", [5, 7, 61])
 def test_counts_rows_start_from_the_tile(block, count_self_hits, m0):
@@ -651,7 +656,7 @@ def test_counts_rows_start_from_the_tile(block, count_self_hits, m0):
                 _check_rows(start, 300, primes, (0,), 1, [0], np.uint8, count_self_hits, reach)
 
 
-@pytest.mark.parametrize("block", BLOCK_SIZES)
+@pytest.mark.parametrize("block", TILE_ROW_BLOCKS)
 @pytest.mark.parametrize("count_self_hits", [True, False])
 @pytest.mark.parametrize("modulus", [15, 105])
 @pytest.mark.parametrize("m0", [5, 7, 61])
