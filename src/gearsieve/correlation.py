@@ -30,7 +30,17 @@ from fractions import Fraction
 import numpy as np
 
 from .constellations import Constellation, density_product, is_admissible, omega
-from .engine import MAX_TAU_P, MAX_WINDOW_END, SieveBasis, Window, certify, composite_signal
+from .engine import (
+    _TILE_PERIOD,
+    MAX_TAU_P,
+    MAX_WINDOW_END,
+    SieveBasis,
+    Window,
+    _fill_from_tile,
+    _tile_primes,
+    certify,
+    composite_signal,
+)
 from .primes import is_prime_trial, odd_primes_upto
 
 # Windows with at most this many positions get the exact covariance sum
@@ -357,10 +367,17 @@ def weighted_float_sum(tables, positions: int, stride: int, divisor: int, shift:
     times, for each p, value / base at each of its residues. A tau table
     of a k-tuple leaves p - 2|F| at no more than k(k-1) + 1 residues, so
     past the smallest primes the corrections are few, and they run as
-    strided slices over j. The terms are built in chunks of _SUM_CHUNK
-    entries, correcting in table order, and every chunk meets in one
-    exact_float_sum: the result is math.fsum over all the terms, whatever
-    the chunk size.
+    strided slices over j.
+
+    The terms are built in chunks of _SUM_CHUNK entries. Each chunk starts
+    as a copy of one tile (engine._fill_from_tile, from phase j mod Q): the
+    constant times the factors of the leading tables, the prefix of the
+    table order that engine._tile_primes picks within min(_TILE_PERIOD,
+    chunk length), over one CRT period Q of their primes. The remaining
+    tables then correct the chunk in order. Every entry meets the same
+    multiplies in the same order as without the tile, so each term is the
+    same float. Every chunk meets in one exact_float_sum: the result is
+    math.fsum over all the terms, whatever the chunk size.
     """
     from .exact import exact_float_sum
 
@@ -372,22 +389,43 @@ def weighted_float_sum(tables, positions: int, stride: int, divisor: int, shift:
     # int / int rounds once, so the constant is the correctly rounded product.
     const = math.prod(bases) / math.prod(ps) / divisor
     r, s = positions, stride
-    hi = (r - 1) // s + 1
+    count = max((r - 1) // s, 0)
+    hi = count + 1
+    limit = min(_TILE_PERIOD, _SUM_CHUNK, count)
+    tiled = _tile_primes(np.array(ps, dtype=np.int64), limit).size
+    period = math.prod(ps[:tiled])
+    # Two periods, so that one period from any phase is one slice.
+    tile = np.full(2 * period, const)
+    _correct(tile, 0, corrections[:tiled])
 
     def terms():
+        # One buffer serves every chunk, so consume each chunk before
+        # asking for the next.
+        buffer = np.empty(min(_SUM_CHUNK, count))
         for j in range(1, hi, _SUM_CHUNK):
-            acc = np.full(min(_SUM_CHUNK, hi - j), const)
-            for p, residues, factors in corrections:
-                for t, f in zip(residues, factors):
-                    # In place: acc[...] *= f would copy the view back too.
-                    strided = acc[(t - j) % p :: p]
-                    strided *= f
+            acc = buffer[: hi - j]
+            _fill_from_tile(acc, tile, j % period)
+            _correct(acc, j, corrections[tiled:])
             # In place: the weights R - s j are integers below 2^53, so exact.
             acc -= shift
             acc *= np.arange(r - s * j, r - s * (j + acc.size), -s, dtype=np.float64)
             yield acc
 
     return exact_float_sum(terms())
+
+
+def _correct(acc: np.ndarray, j: int, corrections) -> None:
+    """Scale acc[i], the term of j + i, by each (p, residues, factors)
+    correction's factor at residue (j + i) mod p, in the given order.
+
+    Its own loop, not engine._strike's: a strike marks or adds 1, and this
+    scales each residue class by its own factor.
+    """
+    for p, residues, factors in corrections:
+        for t, f in zip(residues, factors):
+            # In place: acc[...] *= f would copy the view back too.
+            strided = acc[(t - j) % p :: p]
+            strided *= f
 
 
 def _sigma_off_split_float(

@@ -272,11 +272,12 @@ def _fill_from_tile(view: np.ndarray, tile: np.ndarray, phase: int) -> None:
         filled += step
 
 
-def _tile_primes(ps: np.ndarray) -> np.ndarray:
-    """The presieve tile's primes: the smallest of the ascending primes ps,
-    as many as keep their product within _TILE_PERIOD."""
+def _tile_primes(ps: np.ndarray, limit: int = _TILE_PERIOD) -> np.ndarray:
+    """A tile's primes: the leading primes of ps, as many as keep their
+    product within limit. The core passes its ascending strided primes, so
+    its presieve tile holds the smallest of them."""
     tiled, period = 0, 1
-    while tiled < ps.size and period * int(ps[tiled]) <= _TILE_PERIOD:
+    while tiled < ps.size and period * int(ps[tiled]) <= limit:
         period *= int(ps[tiled])
         tiled += 1
     return ps[:tiled]

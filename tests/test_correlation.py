@@ -1,5 +1,6 @@
 """Exact local survival calculus and the count-moment decomposition."""
 
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -214,7 +215,12 @@ def test_sigma_off_split_float_matches_dense_product():
 
 @pytest.mark.parametrize(
     "m0, constellation, split",
-    [(999, TWINS, "-0x1.6c8141438a000p+11"), (3001, TRIPLE, "-0x1.a140293ad4000p+10")],
+    [
+        (999, TWINS, "-0x1.6c8141438a000p+11"),
+        (3001, TRIPLE, "-0x1.a140293ad4000p+10"),
+        # taken before the float sums filled their chunks from a tile
+        (10001, TWINS, "-0x1.357349e380000p+17"),
+    ],
 )
 def test_sigma_off_split_float_keeps_its_floats(m0, constellation, split):
     # the splits the covariance loop gave before it shared weighted_float_sum
@@ -540,15 +546,100 @@ def test_exact_float_sum_extremes():
         assert exact_float_sum([np.array(values, dtype=np.float64)]) == math.fsum(values)
 
 
+def test_exact_float_sum_rejects_non_finite_entries(monkeypatch):
+    # checked on the sub-block's max|x| before any extraction, which would
+    # never end on a NaN
+    def unreachable(*args):
+        raise AssertionError("a non-finite entry was extracted")
+
+    monkeypatch.setattr(exact, "_extract", unreachable)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            exact_float_sum([np.array([1.0, bad, 2.0**-1074])])
+
+
+def test_exact_float_sum_full_sub_block():
+    # one whole _SUB_BLOCK block of +-1e300, 1.0 and subnormals, each
+    # scaled by its own factor
+    rng = np.random.default_rng(27)
+    picks = rng.choice([1e300, -1e300, 1.0, -1.0, 2.0**-1074, -(2.0**-1060)], exact._SUB_BLOCK)
+    values = picks * rng.uniform(0.5, 2.0, exact._SUB_BLOCK)
+    assert exact_float_sum([values]) == math.fsum(values)
+    assert exact_float_sum([values[: exact._SUB_BLOCK // 3], values[exact._SUB_BLOCK // 3 :]]) == (
+        math.fsum(values)
+    )
+
+
+def test_exact_float_sum_near_dbl_max():
+    # sigma would pass DBL_MAX here: the large entries are extracted times 2^-64
+    big = np.finfo(np.float64).max
+    cases = [
+        [1.7e308, -1.7e308, 5e-324],
+        [big, -big, 1.0, -(2.0**-1074)],
+        [big, -1e300, 2.0**-900, 2.0**-901, -(2.0**-1074)],
+        [-big, big / 3, big / 3, 3.0],
+    ]
+    for values in cases:
+        assert exact_float_sum([np.array(values)]) == math.fsum(values)
+    assert exact_float_sum([np.array(cases[0])]) == 5e-324
+
+
+def test_exact_float_sum_overflows_like_fsum():
+    values = [1e308, 1e308]
+    with pytest.raises(OverflowError):
+        math.fsum(values)
+    with pytest.raises(OverflowError):
+        exact_float_sum([np.array(values)])
+
+
 def test_float_paths_chunk_invariant(monkeypatch):
-    basis, window = build_basis(149), Window(7, 150 * 150)
-    tables = _tables_at_multiples(TWINS, [int(p) for p in basis.primes], 3)
-    split = _sigma_off_split_float(TWINS, tables, window.positions, 3)
-    expected = variance_decomposition(basis, window, TWINS, mu_source="expected")
-    for size in (1000, 7):
+    # chunk sizes below, at and just above the tile period, which the chunk
+    # length caps: 385 = 5*7*11 for the first window's 3,748 terms and
+    # 5005 = 5*7*11*13 for the second's 6,665
+    cases = ((149, (1000, 7, 384, 385, 386)), (199, (5004, 5005, 5006)))
+    default = correlation._SUM_CHUNK
+    for m0, sizes in cases:
+        monkeypatch.setattr(correlation, "_SUM_CHUNK", default)
+        basis, window = build_basis(m0), Window(7, (m0 + 1) ** 2)
+        tables = _tables_at_multiples(TWINS, [int(p) for p in basis.primes], 3)
+        split = _sigma_off_split_float(TWINS, tables, window.positions, 3)
+        expected = variance_decomposition(basis, window, TWINS, mu_source="expected")
+        for size in sizes:
+            monkeypatch.setattr(correlation, "_SUM_CHUNK", size)
+            assert _sigma_off_split_float(TWINS, tables, window.positions, 3) == split
+            assert variance_decomposition(basis, window, TWINS, mu_source="expected") == expected
+
+
+def test_weighted_float_sum_tiles_a_prefix_of_the_table_order(monkeypatch):
+    # shuffled tables: the tile must hold the leading tables in the given
+    # order (13, 5, 59, then the rest), not the smallest primes, so every
+    # term meets the same multiplies as a per-term product in table order
+    primes = [13, 5, 59, 7, 41, 11, 17, 53, 19, 23, 29, 31, 37, 43, 47]
+    tables = _tables_at_multiples(TRIPLE, primes, 1)
+    positions, divisor, shift = 20_000, 7, 0.25
+    j = np.arange(1, positions)
+    terms = np.full(j.size, math.prod(t[1] for t in tables) / math.prod(primes) / divisor)
+    for p, base, residues, values in tables:
+        factor = np.ones(p)  # times 1.0 is exact: the same float as no multiply
+        factor[residues] = values / base
+        terms *= factor[j % p]
+    terms -= shift
+    terms *= (positions - j).astype(np.float64)
+
+    chunks = []
+
+    def keep(arrays):
+        for array in arrays:
+            chunks.append(array.copy())
+        return math.fsum(itertools.chain.from_iterable(chunks))
+
+    monkeypatch.setattr(exact, "exact_float_sum", keep)
+    for size in (1 << 20, 3834, 3835, 4000):  # 3835 = 13*5*59, the tile period
         monkeypatch.setattr(correlation, "_SUM_CHUNK", size)
-        assert _sigma_off_split_float(TWINS, tables, window.positions, 3) == split
-        assert variance_decomposition(basis, window, TWINS, mu_source="expected") == expected
+        chunks.clear()
+        got = correlation.weighted_float_sum(tables, positions, 1, divisor, shift)
+        assert np.array_equal(np.concatenate(chunks), terms)
+        assert got == math.fsum(terms)
 
 
 def test_variance_decomposition_rejects_window_past_cap(monkeypatch):

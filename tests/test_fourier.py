@@ -135,6 +135,9 @@ def test_weighted_ergodic_sum_equals_fsum_of_terms(monkeypatch):
         (101, "section4", "0x1.acb6d4523a94cp+17"),
         (1000, "appendix_c", "0x1.acbee8b2c91d8p+28"),
         (1000, "section4", "0x1.acbec87e3996ep+28"),
+        # taken before the float sums filled their chunks from a tile
+        (10001, "appendix_c", "0x1.4ec913fc8df34p+40"),
+        (10001, "section4", "0x1.4ec9139871f1dp+40"),
     ],
 )
 def test_weighted_ergodic_sum_keeps_its_floats(m0, convention, weighted_sum):
@@ -154,9 +157,10 @@ def test_weighted_ergodic_sum_chunk_invariant(monkeypatch):
 
 
 def test_float_sums_peak_memory_at_m0_1000():
-    # the exact float sum bins sub-blocks, so a 333k-entry chunk adds
-    # little to the chunk's own arrays (the ergodic sum traces 7.7 MiB;
-    # binning the whole chunk at once took 14 MiB)
+    # the exact float sum extracts sub-blocks through two sub-block
+    # buffers, taken only once each chunk is built, so a 333k-entry chunk
+    # adds little to the chunk's own arrays (the ergodic sum traces 5.3
+    # MiB; binning the whole chunk at once took 14 MiB)
     basis, window = build_basis(999), Window.for_capacity(1000)
     calls = (
         lambda: weighted_ergodic_sum(1000),
