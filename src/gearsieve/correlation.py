@@ -7,11 +7,16 @@ the forbidden residues are F_p = {-h mod p} at r and the same set shifted
 by -2d at r + d, so p * tau_p(d) = p - 2|F_p| + |F_p ∩ (F_p - 2d)|.
 Only the pairwise differences of F_p lift the flat value p - 2|F_p|, so
 over a period the table leaves it at no more than k(k-1) + 1 residues.
-sparse_tau_table evaluates that closed form in O(k^2) per prime, as a
-base value plus the few residues off it, read at any stride; it is the
-one kernel behind the covariance and ergodic sums, and tau_numerators is
-its dense expansion. tau() counts the union per distance in Fraction
-arithmetic and serves as its oracle.
+sparse_tau_table counts those overlaps in O(k^2) for one prime, as a
+base value plus the few residues off it, read at any stride, and
+tau_numerators is its dense expansion. The covariance and ergodic sums
+build every prime's table at once with _tables_at_multiples: past 2 * span
+(and 2 (D + 1), D the number of distinct offset differences) a prime's
+table is p - 2k except p - k at residue 0 and p - 2k + c_d at residue
+d * (2 * stride)^-1 mod p, where c_d counts the ordered offset pairs with
+difference d, so one numpy pass gives those tables, and the rest take the
+overlap count. tau() counts the union per distance in Fraction arithmetic
+and serves as the oracle of both.
 
 The exact results are exact integers or Fractions: the tau values, the
 CRT averages and, for windows of at most EXACT_POSITION_LIMIT positions,
@@ -24,6 +29,7 @@ split, which covers larger windows and cross-checks the exact sum.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,11 +43,12 @@ from .engine import (
     SieveBasis,
     Window,
     _fill_from_tile,
+    _inverses,
     _tile_primes,
     certify,
     composite_signal,
 )
-from .primes import is_prime_trial, odd_primes_upto
+from .primes import odd_primes_upto, primes_upto
 
 # Windows with at most this many positions get the exact covariance sum
 # (weighted_product_sum); larger windows get the float64 split alone.
@@ -51,6 +58,11 @@ EXACT_POSITION_LIMIT = 20_000
 MU_SOURCES = ("observed", "expected")
 # Entries of each chunk of the float sums' arrays.
 _SUM_CHUNK = 1 << 20
+# Entries of each sub-block of a chunk that takes its weights at once.
+_WEIGHT_BLOCK = 1 << 13
+# The largest stride whose tables take _tables_at_multiples' closed form:
+# engine._inverses caches a table of 2 * stride entries for each stride.
+_CLOSED_STRIDE = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -109,17 +121,28 @@ class AsymptoticReport:
     cv: float
 
 
-def _require_prime(p: int) -> None:
-    if p > MAX_TAU_P:
+def _require_primes(primes) -> np.ndarray:
+    """The primes as an int64 array, once each is checked to be a tau modulus.
+
+    The cap comes first, for every prime, so no bound past it reaches the
+    prime table; then every prime must be an odd prime, looked up in the
+    shared table up to MAX_TAU_P.
+    """
+    if max(primes, default=0) > MAX_TAU_P:
+        p = next(p for p in primes if p > MAX_TAU_P)
         raise ValueError(f"tau supports primes up to {MAX_TAU_P}, got {p}")
+    ps = np.array(primes, dtype=np.int64)
+    table = primes_upto(MAX_TAU_P)
     # Every N_r + h is odd, so 2 never strikes a member.
-    if p == 2 or not is_prime_trial(p):
-        raise ValueError(f"tau needs an odd prime modulus, got {p}")
+    odd_prime = (table[np.searchsorted(table, ps).clip(max=table.size - 1)] == ps) & (ps != 2)
+    if not odd_prime.all():
+        raise ValueError(f"tau needs an odd prime modulus, got {ps[~odd_prime][0]}")
+    return ps
 
 
 def tau(constellation: Constellation, p: int, d: int) -> LocalSurvival:
     """Exact joint survival probability at position distance d."""
-    _require_prime(p)
+    _require_primes([p])
     if d < 0:
         raise ValueError(f"tau needs a distance >= 0, got {d}")
     return _local_survival(constellation, p, d)
@@ -142,7 +165,7 @@ def _local_survival(constellation: Constellation, p: int, d: int) -> LocalSurviv
 
 def tau_table(constellation: Constellation, p: int) -> list[LocalSurvival]:
     """tau_p(d) over one full period d = 0 .. p-1."""
-    _require_prime(p)
+    _require_primes([p])
     return [_local_survival(constellation, p, d) for d in range(p)]
 
 
@@ -164,6 +187,17 @@ def sparse_tau_table(
     n_p = p * tau_p. The table is base except at the ascending int64
     residues, where it holds the int64 values. base is the most common
     nonzero value, the smallest on a tie, and 0 when every value is 0.
+    The one-prime entry, by the overlap count (_overlap_table); the sums
+    build all their primes' tables at once with _tables_at_multiples.
+    """
+    _require_primes([p])
+    return _overlap_table(constellation, p, stride)
+
+
+def _overlap_table(
+    constellation: Constellation, p: int, stride: int
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """sparse_tau_table of a checked prime, by counting the overlaps.
 
     The overlap |F ∩ (F - 2d)| counts the pairs (a, b) in F x F with
     b - a = 2d (mod p), so each pair lifts the flat value p - 2|F| at
@@ -173,7 +207,6 @@ def sparse_tau_table(
     the flat value, it is the base; only a prime p <= 2 (k(k-1) + 1) can
     fail that, and its table is expanded and counted to find the base.
     """
-    _require_prime(p)
     forbidden = {-h % p for h in constellation.offsets}
     if stride % p == 0:
         none = np.empty(0, dtype=np.int64)
@@ -283,13 +316,52 @@ def asymptotic_report(m0: int, constellation: Constellation, anchor: int = 7) ->
 
 
 def _tables_at_multiples(constellation: Constellation, primes, stride: int):
-    """(p, base, residues, values) per prime: sparse_tau_table at stride.
+    """(p, base, residues, values) per prime: sparse_tau_table at stride, for all primes at once.
 
     The table t -> n_p(stride * t mod p) is base except at the residues.
     Distance d = stride * j reads its factor at t = j % p, so every sum
     over the multiples of stride runs over j. No p-entry array is built.
+    The primes are checked once, the cap first (_require_primes).
+
+    Most primes take a closed form of the overlap count, in one numpy pass
+    over all of them. With F = {-h mod p}, a pair (a, b) of F x F lifts the
+    table at t = (b - a) * (2 * stride)^-1 mod p, and b - a = h_a - h_b.
+    When p > 2 * span, the k residues of F are distinct, and the D distinct
+    differences d = h_a - h_b of distinct offsets (|d| <= span) stay
+    distinct and nonzero mod p. So when also p does not divide stride, the
+    table is p - 2k except at t = 0, which holds p - k (the k pairs a = b),
+    and at t = d * (2 * stride)^-1 mod p, which holds p - 2k + c_d, where
+    c_d counts the ordered pairs with h_a - h_b = d: (0, 2, 6, 8, 12) has
+    c_6 = 3. When 2 (D + 1) < p the flat value p - 2k (odd, so nonzero)
+    holds at more than half the residues, so it is the base. These are
+    _overlap_table's residues, values and base, in the same int64 form.
+    Every other prime (p <= 2 * span, p <= 2 (D + 1), p | stride) goes
+    through _overlap_table, and so does every prime of a stride past
+    _CLOSED_STRIDE.
     """
-    return [(p, *sparse_tau_table(constellation, p, stride)) for p in primes]
+    ps = _require_primes(primes)
+    offsets, k = constellation.offsets, constellation.size
+    pairs = Counter(a - b for a in offsets for b in offsets if a != b)
+    diffs = np.array(list(pairs), dtype=np.int64)
+    lifts = np.array(list(pairs.values()), dtype=np.int64)
+    closed = ps > 2 * max(constellation.span, diffs.size + 1)
+    closed &= (stride % ps != 0) if stride <= _CLOSED_STRIDE else False
+    cp = ps[closed][:, None]
+    # Guarded, so a stride past _CLOSED_STRIDE builds no inverse table.
+    at = diffs * _inverses(2 * stride, cp) % cp if cp.size else cp
+    order = np.argsort(at, axis=1)
+    zero = np.zeros_like(cp)
+    residues = np.concatenate([zero, np.take_along_axis(at, order, axis=1)], axis=1)
+    values = np.concatenate([cp - k, cp - 2 * k + lifts[order]], axis=1)
+
+    tables: list = [None] * ps.size
+    listed = ps.tolist()
+    rows = zip(np.flatnonzero(closed).tolist(), (cp[:, 0] - 2 * k).tolist(), residues, values)
+    for i, base, res, val in rows:
+        tables[i] = (listed[i], base, res, val)
+    for i in np.flatnonzero(~closed).tolist():
+        tables[i] = (listed[i], *_overlap_table(constellation, listed[i], stride))
+    return tables
 
 
 def weighted_product_sum(
@@ -299,13 +371,20 @@ def weighted_product_sum(
 
     R = positions, s = stride, J = (R - 1) // s and n_p = p * tau_p;
     the kernel is _weighted_table_sum on the primes' sparse tables at
-    multiples of s. R is at most EXACT_POSITION_LIMIT, checked before any
-    table or entry is built.
+    multiples of s. R is 0 .. EXACT_POSITION_LIMIT, s at least 1 and the
+    primes distinct, all checked before any table or entry is built.
     """
     if positions > EXACT_POSITION_LIMIT:
         raise ValueError(
             f"the exact sum supports up to {EXACT_POSITION_LIMIT} positions, got {positions}"
         )
+    if positions < 0:
+        raise ValueError(f"positions must be >= 0, got {positions}")
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
+    if len(set(primes)) != len(primes):
+        repeated = sorted(p for p, n in Counter(primes).items() if n > 1)
+        raise ValueError(f"primes must be distinct, got {repeated} more than once")
     tables = _tables_at_multiples(constellation, primes, stride)
     return _weighted_table_sum(tables, positions, stride)
 
@@ -367,7 +446,11 @@ def weighted_float_sum(tables, positions: int, stride: int, divisor: int, shift:
     times, for each p, value / base at each of its residues. A tau table
     of a k-tuple leaves p - 2|F| at no more than k(k-1) + 1 residues, so
     past the smallest primes the corrections are few, and they run as
-    strided slices over j.
+    strided slices over j. They are set up once for all tables: the
+    residues and values of every table joined in table order, each value
+    divided by its own table's base (one correctly rounded division, as
+    values / base per table gives), and walked as one flat list of
+    (p, residue, factor) triples.
 
     The terms are built in chunks of _SUM_CHUNK entries. Each chunk starts
     as a copy of one tile (engine._fill_from_tile, from phase j mod Q): the
@@ -376,27 +459,39 @@ def weighted_float_sum(tables, positions: int, stride: int, divisor: int, shift:
     chunk length), over one CRT period Q of their primes. The remaining
     tables then correct the chunk in order. Every entry meets the same
     multiplies in the same order as without the tile, so each term is the
-    same float. Every chunk meets in one exact_float_sum: the result is
-    math.fsum over all the terms, whatever the chunk size.
+    same float. Each chunk then takes its shift and its weights R - s j a
+    sub-block of _WEIGHT_BLOCK entries at a time, from a small arange per
+    sub-block rather than one chunk-sized array: the weights are integers
+    below 2^53, so exact, and each term sees the same subtraction and
+    multiply as before, so it stays the same float. Every chunk meets in
+    one exact_float_sum: the result is math.fsum over all the terms,
+    whatever the chunk or sub-block size.
     """
     from .exact import exact_float_sum
 
-    ps, bases, corrections = [], [], []
-    for p, base, residues, values in tables:
-        ps.append(p)
-        bases.append(base)
-        corrections.append((p, residues.tolist(), (values / base).tolist()))
+    ps = [p for p, *_ in tables]
+    bases = [base for _, base, _, _ in tables]
+    counts = [residues.size for _, _, residues, _ in tables]
     # int / int rounds once, so the constant is the correctly rounded product.
     const = math.prod(bases) / math.prod(ps) / divisor
+    # One (p, residue, factor) triple per residue, in table order: values /
+    # base divides exact int64s once each, as one division per table would.
+    residues = np.concatenate([t[2] for t in tables] or [np.empty(0, dtype=np.int64)])
+    values = np.concatenate([t[3] for t in tables] or [np.empty(0, dtype=np.int64)])
+    factors = values / np.repeat(bases, counts)
+    corrections = list(
+        zip(np.repeat(ps, counts).tolist(), residues.tolist(), factors.tolist())
+    )
     r, s = positions, stride
     count = max((r - 1) // s, 0)
     hi = count + 1
     limit = min(_TILE_PERIOD, _SUM_CHUNK, count)
     tiled = _tile_primes(np.array(ps, dtype=np.int64), limit).size
     period = math.prod(ps[:tiled])
+    split = sum(counts[:tiled])
     # Two periods, so that one period from any phase is one slice.
     tile = np.full(2 * period, const)
-    _correct(tile, 0, corrections[:tiled])
+    _correct(tile, 0, corrections[:split])
 
     def terms():
         # One buffer serves every chunk, so consume each chunk before
@@ -405,27 +500,29 @@ def weighted_float_sum(tables, positions: int, stride: int, divisor: int, shift:
         for j in range(1, hi, _SUM_CHUNK):
             acc = buffer[: hi - j]
             _fill_from_tile(acc, tile, j % period)
-            _correct(acc, j, corrections[tiled:])
-            # In place: the weights R - s j are integers below 2^53, so exact.
-            acc -= shift
-            acc *= np.arange(r - s * j, r - s * (j + acc.size), -s, dtype=np.float64)
+            _correct(acc, j, corrections[split:])
+            # In place, a sub-block at a time, so no chunk-sized weights.
+            for lo in range(0, acc.size, _WEIGHT_BLOCK):
+                part = acc[lo : lo + _WEIGHT_BLOCK]
+                part -= shift
+                first = r - s * (j + lo)
+                part *= np.arange(first, first - s * part.size, -s, dtype=np.float64)
             yield acc
 
     return exact_float_sum(terms())
 
 
 def _correct(acc: np.ndarray, j: int, corrections) -> None:
-    """Scale acc[i], the term of j + i, by each (p, residues, factors)
-    correction's factor at residue (j + i) mod p, in the given order.
+    """Scale acc[i], the term of j + i, by each (p, residue, factor)
+    correction's factor where (j + i) mod p is its residue, in the given order.
 
     Its own loop, not engine._strike's: a strike marks or adds 1, and this
     scales each residue class by its own factor.
     """
-    for p, residues, factors in corrections:
-        for t, f in zip(residues, factors):
-            # In place: acc[...] *= f would copy the view back too.
-            strided = acc[(t - j) % p :: p]
-            strided *= f
+    for p, t, f in corrections:
+        # In place: acc[...] *= f would copy the view back too.
+        strided = acc[(t - j) % p :: p]
+        strided *= f
 
 
 def _sigma_off_split_float(

@@ -177,9 +177,19 @@ def weighted_ergodic_sum(m0: int, convention: str = "appendix_c") -> EquidistRep
 
 
 def fit_power_law(x, y) -> FitResult:
-    """Least-squares fit of y = c * x^(-alpha) in log-log coordinates."""
-    lx = np.log(np.asarray(x, dtype=np.float64))
-    ly = np.log(np.asarray(y, dtype=np.float64))
+    """Least-squares fit of y = c * x^(-alpha) in log-log coordinates.
+
+    Every point must be positive and finite, checked before any log.
+    """
+    xs = np.asarray(x, dtype=np.float64)
+    ys = np.asarray(y, dtype=np.float64)
+    bad = ~((xs > 0) & np.isfinite(xs) & (ys > 0) & np.isfinite(ys))
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        raise ValueError(
+            f"power-law fit needs positive finite points, got ({xs[i]}, {ys[i]})"
+        )
+    lx, ly = np.log(xs), np.log(ys)
     if lx.size < 3 or np.unique(lx).size < 3:
         raise ValueError("power-law fit needs at least 3 distinct x values")
     slope, intercept = np.polyfit(lx, ly, 1)
@@ -205,8 +215,10 @@ def weighted_exp_sum(theta: float, big_l: int) -> complex:
     For non-integer theta the geometric tail bound |W| <= L / (2 ||theta||)
     is checked on the way out (||.|| is distance to the nearest integer).
     L is capped at MAX_WINDOW_END, and the terms are summed in chunks, so
-    memory stays bounded by the chunk size.
+    memory stays bounded by the chunk size. theta must be finite.
     """
+    if not math.isfinite(theta):
+        raise ValueError(f"weighted exponential sum needs a finite theta, got {theta}")
     if big_l < 3:
         raise ValueError(f"weighted exponential sum needs L >= 3, got {big_l}")
     if big_l > MAX_WINDOW_END:

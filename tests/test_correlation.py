@@ -90,16 +90,20 @@ def test_tau_blocking_at_three():
 
 
 def test_tau_rejects_prime_past_cap(monkeypatch):
-    # checked before the trial division and before any row is built
+    # checked before the prime-table lookup and before any row or table is
+    # built, for every prime of a list before the first is looked up
     def unreachable(*args):
         raise AssertionError("the tau cap was not checked first")
 
-    monkeypatch.setattr(correlation, "is_prime_trial", unreachable)
+    monkeypatch.setattr(correlation, "primes_upto", unreachable)
     monkeypatch.setattr(correlation, "_local_survival", unreachable)
+    monkeypatch.setattr(correlation, "_overlap_table", unreachable)
     assert MAX_TAU_P == math.isqrt(MAX_WINDOW_END)
     for p in (MAX_TAU_P + 1, 100000007):
         for call in (lambda: tau(TWINS, p, 1), lambda: tau_table(TWINS, p),
-                     lambda: tau_numerators(TWINS, p)):
+                     lambda: tau_numerators(TWINS, p), lambda: sparse_tau_table(TWINS, p, 3),
+                     lambda: _tables_at_multiples(TWINS, [9, 5, p], 1),
+                     lambda: weighted_product_sum(TWINS, [9, 5, p], 100, 1)):
             with pytest.raises(ValueError, match=str(MAX_TAU_P)):
                 call()
 
@@ -186,6 +190,63 @@ def test_tau_table_matches_fraction_tau(offsets, p):
     # no admissibility filter: a full residue set takes the BLOCKED label
     constellation = Constellation("random", (0, *sorted(offsets)))
     assert tau_table(constellation, p) == [tau(constellation, p, d) for d in range(p)]
+
+
+# Tuples whose differences repeat: c_d > 1 for some d, such as d = 6 three
+# times in (0, 2, 6, 8, 12)
+REPEATED_DIFFERENCES = [
+    Constellation("quint", (0, 2, 6, 8, 12)),
+    Constellation("quad", (0, 4, 6, 10)),
+    Constellation("ten", (0, 2, 6, 8, 12, 18, 20, 26, 30, 32)),
+    TWINS,
+    TRIPLE,
+]
+
+
+def _distinct_differences(constellation):
+    h = constellation.offsets
+    return len({a - b for a in h for b in h if a != b})
+
+
+@pytest.mark.parametrize("constellation", REPEATED_DIFFERENCES, ids=lambda c: c.name)
+def test_tables_at_multiples_match_the_overlap_count(constellation):
+    # the batched tables against the one-prime overlap count at every prime
+    # to 3000, and against Fraction tau near the closed form's edges
+    primes = [int(p) for p in odd_primes_upto(3000)]
+    blocking = list(is_admissible(constellation).blocking)
+    # 1, 3, every blocking prime, and multiples of basis primes (35, 286)
+    strides = sorted({1, 3, 35, 286, *blocking})
+    edges = (2 * constellation.span, 2 * (_distinct_differences(constellation) + 1))
+    sample = [p for p in primes if any(abs(p - e) <= 8 for e in edges)] + [3, 5, 2999]
+    for stride in strides:
+        tables = _tables_at_multiples(constellation, primes, stride)
+        assert [p for p, *_ in tables] == primes
+        for p, base, residues, values in tables:
+            want = sparse_tau_table(constellation, p, stride)
+            assert type(p) is int and type(base) is int
+            assert residues.dtype == values.dtype == np.int64
+            assert base == want[0]
+            assert residues.tolist() == want[1].tolist()
+            assert values.tolist() == want[2].tolist()
+            if p in sample:
+                nums = np.full(p, base, dtype=np.int64)
+                nums[residues] = values
+                taus = [tau(constellation, p, stride * t % p).tau * p for t in range(p)]
+                assert nums.tolist() == taus
+
+
+def test_tables_at_multiples_keep_the_given_order():
+    # unsorted and mixed: closed-form primes between overlap-count ones
+    primes = [2999, 3, 13, 5, 7, 1009, 11]
+    for stride in (1, 3, 7):
+        tables = _tables_at_multiples(REPEATED_DIFFERENCES[0], primes, stride)
+        assert [p for p, *_ in tables] == primes
+        for p, base, residues, values in tables:
+            want = sparse_tau_table(REPEATED_DIFFERENCES[0], p, stride)
+            assert (base, residues.tolist(), values.tolist()) == (
+                want[0], want[1].tolist(), want[2].tolist()
+            )
+    assert _tables_at_multiples(TWINS, [], 1) == []
 
 
 def _dense_split_reference(constellation, primes, positions, p_b):
@@ -506,6 +567,29 @@ def test_weighted_product_sum_rejects_positions_past_limit(monkeypatch):
     assert time.perf_counter() - began < 1.0
 
 
+def test_weighted_product_sum_rejects_inputs_outside_its_domain(monkeypatch):
+    # refused before any table is built: stride 0 used to divide by zero,
+    # stride -3 and positions -5 returned 0, and [5, 5, 7] counted 5's
+    # factor twice
+    assert weighted_product_sum(TWINS, [3, 5, 7], 0, 1) == 0
+    assert weighted_product_sum(TWINS, [3, 5, 7], 1, 1) == 0
+
+    def unreachable(*args):
+        raise AssertionError("a table was built before the domain check")
+
+    monkeypatch.setattr(correlation, "_tables_at_multiples", unreachable)
+    cases = [
+        ([3, 5, 7], 100, 0, "stride"),
+        ([3, 5, 7], 100, -3, "stride"),
+        ([3, 5, 7], -5, 1, "positions"),
+        ([5, 5, 7], 100, 1, "distinct"),
+        ([3, 7, 5, 7], 100, 3, "distinct"),
+    ]
+    for primes, positions, stride, match in cases:
+        with pytest.raises(ValueError, match=match):
+            weighted_product_sum(TWINS, primes, positions, stride)
+
+
 def test_sigma_off_split_float_matches_exact_sum():
     # the float split against the exact Python-int sum at m0 = 500
     primes = [int(p) for p in odd_primes_upto(499)]
@@ -595,18 +679,24 @@ def test_exact_float_sum_overflows_like_fsum():
 def test_float_paths_chunk_invariant(monkeypatch):
     # chunk sizes below, at and just above the tile period, which the chunk
     # length caps: 385 = 5*7*11 for the first window's 3,748 terms and
-    # 5005 = 5*7*11*13 for the second's 6,665
+    # 5005 = 5*7*11*13 for the second's 6,665; at each, weight sub-blocks of
+    # 1, 7 and just below, at and above the last chunk's length
     cases = ((149, (1000, 7, 384, 385, 386)), (199, (5004, 5005, 5006)))
-    default = correlation._SUM_CHUNK
+    default, default_block = correlation._SUM_CHUNK, correlation._WEIGHT_BLOCK
     for m0, sizes in cases:
         monkeypatch.setattr(correlation, "_SUM_CHUNK", default)
         basis, window = build_basis(m0), Window(7, (m0 + 1) ** 2)
         tables = _tables_at_multiples(TWINS, [int(p) for p in basis.primes], 3)
         split = _sigma_off_split_float(TWINS, tables, window.positions, 3)
         expected = variance_decomposition(basis, window, TWINS, mu_source="expected")
+        terms = (window.positions - 1) // 3
         for size in sizes:
             monkeypatch.setattr(correlation, "_SUM_CHUNK", size)
-            assert _sigma_off_split_float(TWINS, tables, window.positions, 3) == split
+            last = terms - (terms - 1) // size * size
+            for block in sorted({default_block, 1, 7, max(last - 1, 1), last, last + 1}):
+                monkeypatch.setattr(correlation, "_WEIGHT_BLOCK", block)
+                assert _sigma_off_split_float(TWINS, tables, window.positions, 3) == split
+            monkeypatch.setattr(correlation, "_WEIGHT_BLOCK", default_block)
             assert variance_decomposition(basis, window, TWINS, mu_source="expected") == expected
 
 
@@ -659,13 +749,41 @@ def test_variance_decomposition_rejects_window_past_cap(monkeypatch):
 
 
 def test_variance_report_builds_each_tau_table_once():
-    # the split and the exact sum both run here and share one set of tables
+    # the split and the exact sum both run here and read the tables of one
+    # batched build over the basis primes, in order; no one-prime table
     basis, window = build_basis(101), Window(7, 101 * 101)
     assert window.positions <= EXACT_POSITION_LIMIT
     for constellation in (TWINS, TRIPLE, SEXY):
-        with mock.patch.object(correlation, "sparse_tau_table", wraps=sparse_tau_table) as spy:
+        builds, reads = [], []
+
+        def build(*args):
+            builds.append((args, _tables_at_multiples(*args)))
+            return builds[-1][1]
+
+        def reading(kernel):
+            def read(constellation, tables, *rest):
+                reads.append(tables)
+                return kernel(constellation, tables, *rest)
+
+            return read
+
+        with (
+            mock.patch.object(correlation, "_tables_at_multiples", side_effect=build),
+            mock.patch.object(correlation, "sparse_tau_table", wraps=sparse_tau_table) as spy,
+            mock.patch.object(
+                correlation, "_sigma_off_split_float", reading(_sigma_off_split_float)
+            ),
+            mock.patch.object(
+                correlation, "_sigma_off_direct_exact", reading(_sigma_off_direct_exact)
+            ),
+        ):
             report = variance_decomposition(basis, window, constellation, observed_count=100)
         assert report.sigma_off_direct is not None
         assert (report.sigma_off_split is not None) == (constellation is not SEXY)
-        called = sorted(args[1] for args, _ in spy.call_args_list)
-        assert called == [int(p) for p in basis.primes]
+        assert spy.call_count == 0
+        assert len(builds) == 1
+        (c, primes, _), tables = builds[0]
+        assert c == constellation
+        assert list(primes) == [int(p) for p in basis.primes]
+        assert len(reads) == (2 if constellation is not SEXY else 1)
+        assert all(read is tables for read in reads)

@@ -216,6 +216,25 @@ def test_fit_power_law_needs_three_points():
         fit_power_law([10.0, 10.0, 10.0], [1.0, 1.0, 1.0])
 
 
+def test_fit_power_law_rejects_non_positive_and_non_finite_points(monkeypatch):
+    # checked before any log: y = 0 used to return FitResult(nan, nan)
+    # with RuntimeWarnings
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a bad point reached the fit")
+
+    monkeypatch.setattr(fourier.np, "polyfit", unreachable)
+    x = [10.0, 20.0, 40.0, 80.0]
+    good = [1.0, 0.5, 0.25, 0.125]
+    for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        for i in (0, 3):
+            y = list(good)
+            y[i] = bad
+            with pytest.raises(ValueError, match="positive finite"):
+                fit_power_law(x, y)
+            with pytest.raises(ValueError, match="positive finite"):
+                fit_power_law(y, x)
+
+
 def test_fit_decay_exponent_ladder_head():
     fit = fit_decay_exponent([30, 50, 100, 200])
     assert abs(fit.alpha - 1.6115) < 5e-4
@@ -247,6 +266,13 @@ def test_weighted_exp_sum_bound():
 def test_weighted_exp_sum_validation():
     with pytest.raises(ValueError):
         weighted_exp_sum(0.25, 2)
+
+
+def test_weighted_exp_sum_rejects_non_finite_theta():
+    # NaN used to fail inside round(), and inf raised OverflowError
+    for theta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="theta"):
+            weighted_exp_sum(theta, 12)
 
 
 def test_weighted_exp_sum_rejects_l_past_cap(monkeypatch):
