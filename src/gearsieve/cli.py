@@ -91,7 +91,7 @@ def _config_from(args: argparse.Namespace, default_m0: tuple[int, ...]) -> RunCo
         survivor_range=getattr(args, "survivor_range", _CONVENTIONS.survivor_range),
         h_convention=getattr(args, "convention", _CONVENTIONS.h_convention),
     )
-    m0_list = _parse_m0_list(args.m0_list) if args.m0_list else default_m0
+    m0_list = default_m0 if args.m0_list is None else _parse_m0_list(args.m0_list)
     return RunConfig(
         m0_list=m0_list,
         constellation=_parse_offsets(getattr(args, "tuple", _TUPLE_DEFAULT)),
@@ -272,7 +272,7 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
-    m0_list = _parse_m0_list(args.m0_list) if args.m0_list else DEFAULT_TABLE3_M0
+    m0_list = DEFAULT_TABLE3_M0 if args.m0_list is None else _parse_m0_list(args.m0_list)
     # Checked before any ergodic sum runs.
     if len(set(m0_list)) < 3:
         raise ValueError("fit needs at least three distinct m0 values")

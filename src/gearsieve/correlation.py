@@ -20,10 +20,13 @@ and serves as the oracle of both.
 
 The exact results are exact integers or Fractions: the tau values, the
 CRT averages and, for windows of at most EXACT_POSITION_LIMIT positions,
-the covariance sum, whose integer part weighted_product_sum evaluates as
-one Python-int sum over the sparse tables. Floats appear at report boundaries
-(MomentReport fields, table cells) and in the float64 blocked/surviving
-split, which covers larger windows and cross-checks the exact sum.
+the covariance sum, whose integer part weighted_product_sum evaluates over
+the sparse tables. Its per-distance products are exact float64 integers
+below 2^53 (the rare larger ones are taken as Python ints), and Python
+ints take one step per distinct product of bases, so numpy does the
+strided work. Floats appear at report boundaries (MomentReport fields,
+table cells) and in the float64 blocked/surviving split, which covers
+larger windows and cross-checks the exact sum.
 """
 
 from __future__ import annotations
@@ -63,6 +66,10 @@ _WEIGHT_BLOCK = 1 << 13
 # The largest stride whose tables take _tables_at_multiples' closed form:
 # engine._inverses caches a table of 2 * stride entries for each stride.
 _CLOSED_STRIDE = 1 << 12
+# Integers below this bound are exact in float64.
+_EXACT_FLOAT = 2.0**53
+# Bits of the low limb of each num in the exact sum's int64 group sums.
+_LIMB = 26
 
 
 @dataclass(frozen=True)
@@ -398,31 +405,84 @@ def _weighted_table_sum(tables, positions: int, stride: int) -> int:
     prime of the basis it is the same sum, because n_s(d) = 0 whenever s
     does not divide d.
 
-    One Python-int entry per distance starts at prod base. Each residue t
-    of each prime scales the strided slice j = t (mod p) by its value and
-    divides out that prime's base; the division is exact, because each j
-    meets each prime's base once. A value of 0 sets the slice to 0.
+    Each j meets each prime's table at most once off its base, so its term
+    is P * num_j / den_j: P = prod base, num_j the product of the values j
+    meets and den_j the product of those tables' bases. The corrections
+    build num and den as float64 arrays, one strided multiply each per
+    (prime, residue) whose slice holds a distance; a value of 0 sets the
+    num slice to 0. Every factor is an integer of at least 1, so a product
+    below 2^53 is exact, and one that passes 2^53 stays at or above it (inf
+    included) instead of wrapping. The few distances past that bound, such
+    as s j = (h_a - h_b) / 2, which meets every prime's table, take a
+    direct Python-int product. The rest group by den. Each group's sum of
+    (R - s j) * num_j is exact in int64 as two _LIMB-bit limbs of num (for
+    R < 2^18), and takes one Python-int step, P // den times that sum.
+
+    So numpy does the J * sum_p (residues of p) / p multiplies, and Python
+    ints take one step per distinct den and one product per distance past
+    2^53.
     """
     r, s = positions, stride
     count = (r - 1) // s
     if count <= 0:
         return 0
-    acc = np.full(count, math.prod(base for _, base, _, _ in tables), dtype=object)
-    for p, base, residues, values in tables:
-        for t, v in zip(residues.tolist(), values.tolist()):
-            view = acc[(t - 1) % p :: p]
+    ps, bases, residues, values = _joined(tables)
+    starts = (residues - 1) % ps
+    # A correction whose slice starts past the last distance changes nothing.
+    on = starts < count
+    num = np.ones(count)
+    den = np.ones(count)
+    with np.errstate(over="ignore"):
+        for p, base, i, v in zip(
+            ps[on].tolist(), bases[on].tolist(), starts[on].tolist(), values[on].tolist()
+        ):
             if v == 0:
-                view[:] = 0
-            else:
-                view *= v
-                view //= base
-    return int(np.dot(acc, np.arange(r - s, 0, -s).astype(object)))
+                num[i::p] = 0
+                continue
+            # In place: num[i::p] *= v would copy the view back too.
+            view = num[i::p]
+            view *= v
+            view = den[i::p]
+            view *= base
+    big = math.prod(base for _, base, _, _ in tables)
+    weights = np.arange(r - s, 0, -s, dtype=np.int64)
+    live = num != 0
+    inexact = live & ((num >= _EXACT_FLOAT) | (den >= _EXACT_FLOAT))
+    total = 0
+    for j in np.flatnonzero(inexact).tolist():
+        hit = (j + 1) % ps == residues
+        term = big // math.prod(bases[hit].tolist()) * math.prod(values[hit].tolist())
+        total += (r - s * (j + 1)) * term
+    live &= ~inexact
+    den = den[live].astype(np.int64)
+    order = np.argsort(den)
+    den = den[order]
+    num = num[live].astype(np.int64)[order]
+    weights = weights[live][order]
+    first = np.flatnonzero(np.diff(den, prepend=0))
+    high = np.add.reduceat(weights * (num >> _LIMB), first).tolist()
+    low = np.add.reduceat(weights * (num & ((1 << _LIMB) - 1)), first).tolist()
+    for d, h, lo in zip(den[first].tolist(), high, low):
+        total += big // d * ((h << _LIMB) + lo)
+    return total
+
+
+def _joined(tables):
+    """Every table's (prime, base, residue, value) per residue, in table order, as int64 arrays."""
+    counts = [residues.size for _, _, residues, _ in tables]
+    none = np.empty(0, dtype=np.int64)
+    return (
+        np.repeat(np.array([p for p, *_ in tables], dtype=np.int64), counts),
+        np.repeat(np.array([base for _, base, _, _ in tables], dtype=np.int64), counts),
+        np.concatenate([t[2] for t in tables] or [none]),
+        np.concatenate([t[3] for t in tables] or [none]),
+    )
 
 
 def _sigma_off_direct_exact(
     constellation: Constellation, tables, positions: int, stride: int
-) -> Fraction:
-    """Sum_{d=1}^{R-1} (R - d) * (prod_p tau_p(d) - mu^2), exactly.
+) -> float:
+    """Sum_{d=1}^{R-1} (R - d) * (prod_p tau_p(d) - mu^2), correctly rounded.
 
     tables are the basis primes' _tables_at_multiples of stride. With
     Q = prod p and M = prod (p - omega(p)), each product of taus is an
@@ -435,7 +495,8 @@ def _sigma_off_direct_exact(
     big_m = math.prod(p - omega(constellation, p) for p in primes)
     weighted = _weighted_table_sum(tables, positions, stride)
     total_weight = positions * (positions - 1) // 2
-    return Fraction(weighted * big_q - big_m * big_m * total_weight, big_q * big_q)
+    # int / int rounds once, so this is the exact sum correctly rounded.
+    return (weighted * big_q - big_m * big_m * total_weight) / (big_q * big_q)
 
 
 def weighted_float_sum(tables, positions: int, stride: int, divisor: int, shift: float) -> float:
@@ -470,18 +531,13 @@ def weighted_float_sum(tables, positions: int, stride: int, divisor: int, shift:
     from .exact import exact_float_sum
 
     ps = [p for p, *_ in tables]
-    bases = [base for _, base, _, _ in tables]
     counts = [residues.size for _, _, residues, _ in tables]
     # int / int rounds once, so the constant is the correctly rounded product.
-    const = math.prod(bases) / math.prod(ps) / divisor
+    const = math.prod(base for _, base, _, _ in tables) / math.prod(ps) / divisor
     # One (p, residue, factor) triple per residue, in table order: values /
     # base divides exact int64s once each, as one division per table would.
-    residues = np.concatenate([t[2] for t in tables] or [np.empty(0, dtype=np.int64)])
-    values = np.concatenate([t[3] for t in tables] or [np.empty(0, dtype=np.int64)])
-    factors = values / np.repeat(bases, counts)
-    corrections = list(
-        zip(np.repeat(ps, counts).tolist(), residues.tolist(), factors.tolist())
-    )
+    each_p, each_base, residues, values = _joined(tables)
+    corrections = list(zip(each_p.tolist(), residues.tolist(), (values / each_base).tolist()))
     r, s = positions, stride
     count = max((r - 1) // s, 0)
     hi = count + 1
@@ -559,7 +615,7 @@ def variance_decomposition(
     mu_N is the certified count (mu_source="observed", the default) or the
     mean-field expectation ("expected"). sigma_diag = mu (1 - mu/positions)
     over the position count. sigma_off is the weighted covariance sum: the
-    exact Python-int sum when positions <= EXACT_POSITION_LIMIT, else
+    exact sum, rounded once, when positions <= EXACT_POSITION_LIMIT, else
     the float64 blocked/surviving split, which also runs beside the exact
     sum as an independent check whenever the basis holds a blocking prime.
     The window end is capped at MAX_WINDOW_END, since the split builds
@@ -602,8 +658,8 @@ def variance_decomposition(
             constellation, tables, positions, p_b
         )
     if positions <= EXACT_POSITION_LIMIT:
-        sigma_off = sigma_off_direct = float(
-            _sigma_off_direct_exact(constellation, tables, positions, p_b or 1)
+        sigma_off = sigma_off_direct = _sigma_off_direct_exact(
+            constellation, tables, positions, p_b or 1
         )
 
     variance = sigma_diag + sigma_off

@@ -725,6 +725,18 @@ def test_invalid_configuration_exit_code(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["table1", "table2", "table3", "figures", "fit"])
+@pytest.mark.parametrize("m0_list", ["", " "])
+def test_blank_m0_list_exits_two(tmp_path, capsys, command, m0_list):
+    # an empty list is refused like a blank one, not read as the default ladder
+    out = [] if command == "fit" else ["--out", str(tmp_path)]
+    assert main([command, "--m0-list", m0_list, *out]) == 2
+    assert capsys.readouterr().err.strip() == (
+        f"error: m0 list must be comma-separated integers, got {m0_list!r}"
+    )
+    assert not any(tmp_path.iterdir())
+
+
 def test_io_failure_exit_code(capsys):
     rc = main(["table1", "--m0-list", "30", "--out", "/proc/missing/dir"])
     assert rc == 3

@@ -537,6 +537,53 @@ def test_weighted_product_sum_large_basis_tiny_window():
         assert weighted_product_sum(TWINS, primes, positions, stride) == want
 
 
+def _wide_bigint_weighted_sum(constellation, primes, positions, stride):
+    # the bigint loop for thousands of primes, where a Fraction tau() per
+    # (prime, distance) would take seconds: p * tau_p(d) is the flat value
+    # p - 2|F_p| unless p divides h_a - h_b - 2d for some offsets h_a, h_b
+    # (only then does F_p meet F_p - 2d), so each term is the product of
+    # the flat values with tau() of those few primes put in their place
+    ps = np.array(primes, dtype=np.int64)
+    offsets = constellation.offsets
+    differences = sorted({a - b for a in offsets for b in offsets})
+    flat = {p: p - 2 * len({-h % p for h in offsets}) for p in primes}
+    every = math.prod(flat.values())
+    total = 0
+    for d in range(stride, positions, stride):
+        met = np.zeros(ps.size, dtype=bool)
+        for difference in differences:
+            met |= (difference - 2 * d) % ps == 0
+        met = ps[met].tolist()
+        values = math.prod(int(p * tau(constellation, p, d).tau) for p in met)
+        total += (positions - d) * (every // math.prod(flat[p] for p in met) * values)
+    return total
+
+
+@pytest.mark.parametrize(
+    "constellation, stride, meets_every_prime",
+    [(TWINS, 1, 1), (SEXY, 1, 3), (TWINS, 3, None)],
+)
+def test_weighted_product_sum_distances_that_meet_every_prime(
+    constellation, stride, meets_every_prime
+):
+    # where s j is half an offset difference, distance s j meets every
+    # prime's table off its base: 2 * 1 = 2 for twins, 2 * 3 = 6 for (0, 6).
+    # Twins at stride 1 die there (tau_3(1) = 0); (0, 6) keeps a term of
+    # about 45,000 bits. An int64 product per distance would wrap at either.
+    primes = [int(p) for p in odd_primes_upto(31622)]
+    positions = 300
+    narrow = [p for p in primes if p < 100]
+    assert _wide_bigint_weighted_sum(constellation, narrow, positions, stride) == (
+        _bigint_weighted_sum(constellation, narrow, positions, stride)
+    )
+    if meets_every_prime is not None:
+        # a pair lifts the flat value p - 4 by one where 2d is its difference
+        d = stride * meets_every_prime
+        assert all(p * tau(constellation, p, d).tau == p - 3 for p in primes[-3:])
+    want = _wide_bigint_weighted_sum(constellation, primes, positions, stride)
+    assert weighted_product_sum(constellation, primes, positions, stride) == want
+
+
 def test_weighted_product_sum_splits_distances():
     # 699 distances, more than any prime's period here, so every residue
     # slice of every prime holds several entries
