@@ -7,10 +7,10 @@ the forbidden residues are F_p = {-h mod p} at r and the same set shifted
 by -2d at r + d, so p * tau_p(d) = p - 2|F_p| + |F_p ∩ (F_p - 2d)|.
 Only the pairwise differences of F_p lift the flat value p - 2|F_p|, so
 over a period the table leaves it at no more than k(k-1) + 1 residues.
-sparse_tau_table counts those overlaps in O(k^2) for one prime, as a
-base value plus the few residues off it, read at any stride, and
-tau_numerators is its dense expansion. The covariance and ergodic sums
-build every prime's table at once with _tables_at_multiples: past 2 * span
+_overlap_table counts those overlaps in O(k^2) for one prime, as a
+base value plus the few residues off it, read at any stride. Every
+sparse table is built by _tables_at_multiples, every prime of a sum at
+once, and tau_numerators is the dense expansion of one: past 2 * span
 (and 2 (D + 1), D the number of distinct offset differences) a prime's
 table is p - 2k except p - k at residue 0 and p - 2k + c_d at residue
 d * (2 * stride)^-1 mod p, where c_d counts the ordered offset pairs with
@@ -179,32 +179,22 @@ def tau_table(constellation: Constellation, p: int) -> list[LocalSurvival]:
 def tau_numerators(constellation: Constellation, p: int) -> np.ndarray:
     """p * tau_p(d) for d = 0 .. p-1 as an int64 array, in O(k^2 + p).
 
-    The dense expansion of sparse_tau_table at stride 1. Each value is at
-    most p; weighted_product_sum forms the products over many primes as
-    Python ints.
+    The dense expansion of p's sparse table at stride 1, built by
+    _tables_at_multiples as the sums build theirs. Each value is at most p.
     """
-    return _expand(p, *sparse_tau_table(constellation, p, 1))
-
-
-def sparse_tau_table(
-    constellation: Constellation, p: int, stride: int
-) -> tuple[int, np.ndarray, np.ndarray]:
-    """t -> n_p(stride * t mod p) for t = 0 .. p-1 as (base, residues, values), in O(k^2).
-
-    n_p = p * tau_p. The table is base except at the ascending int64
-    residues, where it holds the int64 values. base is the most common
-    nonzero value, the smallest on a tie, and 0 when every value is 0.
-    The one-prime entry, by the overlap count (_overlap_table); the sums
-    build all their primes' tables at once with _tables_at_multiples.
-    """
-    _require_primes([p])
-    return _overlap_table(constellation, p, stride)
+    return _expand(*_tables_at_multiples(constellation, [p], 1)[0])
 
 
 def _overlap_table(
     constellation: Constellation, p: int, stride: int
 ) -> tuple[int, np.ndarray, np.ndarray]:
-    """sparse_tau_table of a checked prime, by counting the overlaps.
+    """t -> n_p(stride * t mod p) for t = 0 .. p-1 as (base, residues, values), in O(k^2).
+
+    n_p = p * tau_p, for a checked prime p. The table is base except at the
+    ascending int64 residues, where it holds the int64 values. base is the
+    most common nonzero value, the smallest on a tie, and 0 when every
+    value is 0. This is _tables_at_multiples' branch for the primes its
+    closed form does not cover, and the tests' reference for that form.
 
     The overlap |F ∩ (F - 2d)| counts the pairs (a, b) in F x F with
     b - a = 2d (mod p), so each pair lifts the flat value p - 2|F| at
@@ -323,7 +313,7 @@ def asymptotic_report(m0: int, constellation: Constellation, anchor: int = 7) ->
 
 
 def _tables_at_multiples(constellation: Constellation, primes, stride: int):
-    """(p, base, residues, values) per prime: sparse_tau_table at stride, for all primes at once.
+    """(p, base, residues, values) per prime: _overlap_table at stride, for all primes at once.
 
     The table t -> n_p(stride * t mod p) is base except at the residues.
     Distance d = stride * j reads its factor at t = j % p, so every sum

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -87,10 +87,20 @@ _COUNT_WHEEL = (3, 5, 7)
 
 @dataclass(frozen=True, eq=False)
 class SieveBasis:
-    """All odd primes in [3, m0], ascending, for an odd capacity m0."""
+    """All odd primes in [3, m0], ascending, for an odd capacity m0 >= 3.
+
+    The basis is its bound: primes is derived from m0 once, at
+    construction, as a read-only view of the shared prime table, so no
+    basis holds a prime list that disagrees with m0.
+    """
 
     m0: int
-    primes: np.ndarray
+    primes: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        if self.m0 < 3 or self.m0 % 2 == 0:
+            raise ValueError(f"basis capacity must be an odd integer >= 3, got {self.m0}")
+        object.__setattr__(self, "primes", odd_primes_upto(self.m0))
 
 
 @dataclass(frozen=True)
@@ -203,14 +213,6 @@ class CertifiedResult:
     def __post_init__(self) -> None:
         if self.survivors is not None:
             self.survivors.setflags(write=False)
-
-
-def build_basis(m0: int) -> SieveBasis:
-    """All odd primes up to an odd capacity m0 >= 3."""
-    if m0 < 3 or m0 % 2 == 0:
-        raise ValueError(f"basis capacity must be an odd integer >= 3, got {m0}")
-    primes = odd_primes_upto(m0)
-    return SieveBasis(m0=m0, primes=primes)
 
 
 def first_candidate_above(m0: int) -> int:
@@ -675,10 +677,16 @@ def certify(trace: SignalTrace, survivors: bool = False) -> CertifiedResult:
     When every window member exceeds the basis bound, the zero-signal
     positions are exactly the all-prime tuples; members at or below the
     bound can only survive under the proper-multiples signal variant.
+    A window ending past (m0 + 2)^2 is refused: every odd composite below
+    that has an odd prime factor <= m0, but one above it may have none,
+    and would be counted as a prime.
     A mask trace walks its first in_range positions on each call: a count
     sums the unhit entries and keeps none, and a survivor list collects
     them. survivors, when asked for, is a read-only ascending int64 array.
     """
+    m0, end = trace.basis.m0, trace.window.end
+    if end > (m0 + 2) ** 2:
+        raise ValueError(f"window end {end} exceeds (m0 + 2)^2 = {(m0 + 2) ** 2} of basis {m0}")
     if trace.values is not None:
         zeros = trace.values[: trace.in_range] == 0
         if not survivors:

@@ -27,9 +27,7 @@ import numpy as np
 
 from .constellations import Constellation, TWINS
 from .correlation import fano_theoretical, mean_field, variance_decomposition
-from .engine import (
-    MAX_WINDOW_END, SieveBasis, Window, build_basis, certify, composite_signal, signal_sums,
-)
+from .engine import MAX_WINDOW_END, SieveBasis, Window, certify, composite_signal, signal_sums
 from .fourier import (
     H_CONVENTIONS, EquidistReport, FitResult, fit_decay_exponent, weighted_ergodic_sum,
 )
@@ -116,7 +114,7 @@ def sweep_basis(m0: int) -> SieveBasis:
     # The window [anchor, m0^2) is checked before anything is sieved.
     if m0 * m0 > MAX_WINDOW_END:
         raise ValueError(f"window end {m0 * m0} exceeds the supported {MAX_WINDOW_END}")
-    return build_basis(m0 if m0 % 2 == 1 else m0 - 1)
+    return SieveBasis(m0 if m0 % 2 == 1 else m0 - 1)
 
 
 def _ratio(var: float, mean: float, m0: int, window: Window) -> float:

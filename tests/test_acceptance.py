@@ -30,8 +30,8 @@ from gearsieve.correlation import (
 )
 from gearsieve.diophantine import canonical_seed, gear_sequence, structural_is_prime
 from gearsieve.engine import (
+    SieveBasis,
     Window,
-    build_basis,
     certify,
     classical_oracle_count,
     composite_signal,
@@ -308,7 +308,7 @@ def test_criterion_8_oracle_equivalence():
             failures.append(f"gear identity broken at m0={m0}")
             break
     for m0 in (9, 15, 21, 31, 45, 99):
-        basis = build_basis(m0)
+        basis = SieveBasis(m0)
         window = Window(first_candidate_above(m0), m0 * m0)
         for pattern in (TWINS, COUSINS, SEXY):
             certified = certify(composite_signal(basis, window, pattern)).count
@@ -326,7 +326,7 @@ def test_criterion_8_oracle_equivalence():
                 want *= Fraction(p - omega(pattern, p), p)
             if got != want:
                 failures.append(f"torus mismatch for {primes}, {pattern.name}")
-    basis = build_basis(99)
+    basis = SieveBasis(99)
     window = Window.for_capacity(99)
     reference = composite_signal(basis, window, TWINS, segments=1).values
     for segments in (3, 8, 17):

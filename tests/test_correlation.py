@@ -15,6 +15,7 @@ from gearsieve import correlation, exact
 from gearsieve.constellations import COUSINS, SEXY, TWINS, Constellation, is_admissible, omega
 from gearsieve.correlation import (
     EXACT_POSITION_LIMIT,
+    _overlap_table,
     _sigma_off_direct_exact,
     _sigma_off_split_float,
     _tables_at_multiples,
@@ -23,7 +24,6 @@ from gearsieve.correlation import (
     fano_theoretical,
     mean_field,
     paley_zygmund_bound,
-    sparse_tau_table,
     tau,
     tau_numerators,
     tau_table,
@@ -31,7 +31,7 @@ from gearsieve.correlation import (
     variance_decomposition,
     weighted_product_sum,
 )
-from gearsieve.engine import MAX_TAU_P, MAX_WINDOW_END, SieveBasis, Window, build_basis
+from gearsieve.engine import MAX_TAU_P, MAX_WINDOW_END, SieveBasis, Window
 from gearsieve.exact import exact_float_sum
 from gearsieve.primes import odd_primes_upto
 
@@ -101,7 +101,7 @@ def test_tau_rejects_prime_past_cap(monkeypatch):
     assert MAX_TAU_P == math.isqrt(MAX_WINDOW_END)
     for p in (MAX_TAU_P + 1, 100000007):
         for call in (lambda: tau(TWINS, p, 1), lambda: tau_table(TWINS, p),
-                     lambda: tau_numerators(TWINS, p), lambda: sparse_tau_table(TWINS, p, 3),
+                     lambda: tau_numerators(TWINS, p),
                      lambda: _tables_at_multiples(TWINS, [9, 5, p], 1),
                      lambda: weighted_product_sum(TWINS, [9, 5, p], 100, 1)):
             with pytest.raises(ValueError, match=str(MAX_TAU_P)):
@@ -119,12 +119,10 @@ def test_tau_rejects_two_and_composite_moduli():
             tau_numerators(TWINS, p)
         for stride in (1, 3):
             with pytest.raises(ValueError):
-                sparse_tau_table(TWINS, p, stride)
-            with pytest.raises(ValueError):
                 weighted_product_sum(TWINS, [3, 5, p], 100, stride)
-        basis = SieveBasis(m0=29, primes=np.array([3, 5, p, 29], dtype=np.int64))
-        with pytest.raises(ValueError):
-            variance_decomposition(basis, Window(7, 900), TWINS, observed_count=30)
+        # a basis derives its primes from m0, so none holds a bad prime
+        with pytest.raises(TypeError):
+            SieveBasis(m0=29, primes=np.array([3, 5, p, 29], dtype=np.int64))
 
 
 def _table_base_reference(nums):
@@ -148,11 +146,11 @@ def _table_base_reference(nums):
 @example({2, 4, 6, 8}, 5, "1")
 @example({1, 2, 3, 4}, 7, "3")
 @example({2, 4, 6}, 7, "p")
-def test_sparse_tau_table_matches_fraction_tau(offsets, p, stride_name):
+def test_one_prime_tables_match_fraction_tau(offsets, p, stride_name):
     # admissible and not: a fully occupied prime gives the all-zero table
     constellation = Constellation("random", (0, *sorted(offsets)))
     stride = {"1": 1, "3": 3, "p": p, "2p": 2 * p}[stride_name]
-    base, residues, values = sparse_tau_table(constellation, p, stride)
+    [(_, base, residues, values)] = _tables_at_multiples(constellation, [p], stride)
     assert residues.dtype == values.dtype == np.int64
     nums = np.full(p, base, dtype=np.int64)
     nums[residues] = values
@@ -222,7 +220,7 @@ def test_tables_at_multiples_match_the_overlap_count(constellation):
         tables = _tables_at_multiples(constellation, primes, stride)
         assert [p for p, *_ in tables] == primes
         for p, base, residues, values in tables:
-            want = sparse_tau_table(constellation, p, stride)
+            want = _overlap_table(constellation, p, stride)
             assert type(p) is int and type(base) is int
             assert residues.dtype == values.dtype == np.int64
             assert base == want[0]
@@ -242,7 +240,7 @@ def test_tables_at_multiples_keep_the_given_order():
         tables = _tables_at_multiples(REPEATED_DIFFERENCES[0], primes, stride)
         assert [p for p, *_ in tables] == primes
         for p, base, residues, values in tables:
-            want = sparse_tau_table(REPEATED_DIFFERENCES[0], p, stride)
+            want = _overlap_table(REPEATED_DIFFERENCES[0], p, stride)
             assert (base, residues.tolist(), values.tolist()) == (
                 want[0], want[1].tolist(), want[2].tolist()
             )
@@ -365,7 +363,7 @@ def test_paley_zygmund_bound():
 
 
 def test_variance_decomposition_small_window():
-    basis = build_basis(29)
+    basis = SieveBasis(29)
     window = Window(7, 900)
     report = variance_decomposition(basis, window, TWINS)
     assert report.positions == 447
@@ -387,7 +385,7 @@ def test_variance_decomposition_small_window():
 def test_variance_decomposition_sigma_diag_ladder_head():
     pins = {29: 28.0, 49: 62.5, 99: 189.2}
     for m0, pin in pins.items():
-        basis = build_basis(m0)
+        basis = SieveBasis(m0)
         window = Window(7, (m0 + 1) ** 2)
         report = variance_decomposition(basis, window, TWINS)
         assert abs(report.sigma_diag - pin) < 0.1
@@ -397,7 +395,7 @@ def test_variance_decomposition_near_exact_limit():
     # positions = 19997 sits just under the exact-evaluation cutoff, so the
     # direct sum runs in exact (multimodular) arithmetic, next to the float
     # blocked split
-    basis = build_basis(199)
+    basis = SieveBasis(199)
     window = Window(7, 200 * 200)
     assert window.positions <= EXACT_POSITION_LIMIT
     report = variance_decomposition(basis, window, TWINS)
@@ -408,7 +406,7 @@ def test_variance_decomposition_near_exact_limit():
 
 def test_variance_decomposition_split_only_beyond_limit():
     # above the exact-evaluation cutoff only the float split path runs
-    basis = build_basis(499)
+    basis = SieveBasis(499)
     window = Window(7, 500 * 500)
     assert window.positions > EXACT_POSITION_LIMIT
     report = variance_decomposition(basis, window, TWINS)
@@ -418,21 +416,21 @@ def test_variance_decomposition_split_only_beyond_limit():
 
 
 def test_variance_decomposition_expected_mu():
-    basis = build_basis(99)
+    basis = SieveBasis(99)
     window = Window(7, 10**4)
     report = variance_decomposition(basis, window, TWINS, mu_source="expected")
     assert abs(report.mu_N - 191.3703) < 5e-4
 
 
 def test_variance_decomposition_observed_count_passthrough():
-    basis = build_basis(29)
+    basis = SieveBasis(29)
     window = Window(7, 900)
     report = variance_decomposition(basis, window, TWINS, observed_count=30)
     assert report.mu_N == 30
 
 
 def test_variance_decomposition_rejects_bad_source():
-    basis = build_basis(29)
+    basis = SieveBasis(29)
     window = Window(7, 900)
     with pytest.raises(ValueError):
         variance_decomposition(basis, window, TWINS, mu_source="guess")
@@ -441,14 +439,14 @@ def test_variance_decomposition_rejects_bad_source():
 def test_sexy_has_no_blocking_prime_guard():
     # the sexy pair admits no blocking prime, so windows beyond the exact
     # cutoff cannot fall back to the split evaluation
-    basis = build_basis(201)
+    basis = SieveBasis(201)
     window = Window(7, 202 * 202)
     with pytest.raises(ValueError):
         variance_decomposition(basis, window, SEXY)
 
 
 def test_sexy_small_window_decomposition():
-    basis = build_basis(29)
+    basis = SieveBasis(29)
     window = Window(7, 900)
     report = variance_decomposition(basis, window, SEXY)
     assert report.sigma_off_direct is not None
@@ -529,7 +527,7 @@ def test_weighted_product_sum_large_basis_tiny_window():
     primes = [int(p) for p in odd_primes_upto(1999)]
     positions = 50
     want = _bigint_weighted_sum(TWINS, primes, positions, 1)
-    report = variance_decomposition(build_basis(1999), Window(7, 106), TWINS, observed_count=3)
+    report = variance_decomposition(SieveBasis(1999), Window(7, 106), TWINS, observed_count=3)
     assert report.positions == positions
     tables = _tables_at_multiples(TWINS, primes, 1)
     assert report.sigma_off_direct == float(_sigma_off_direct_exact(TWINS, tables, positions, 1))
@@ -732,7 +730,7 @@ def test_float_paths_chunk_invariant(monkeypatch):
     default, default_block = correlation._SUM_CHUNK, correlation._WEIGHT_BLOCK
     for m0, sizes in cases:
         monkeypatch.setattr(correlation, "_SUM_CHUNK", default)
-        basis, window = build_basis(m0), Window(7, (m0 + 1) ** 2)
+        basis, window = SieveBasis(m0), Window(7, (m0 + 1) ** 2)
         tables = _tables_at_multiples(TWINS, [int(p) for p in basis.primes], 3)
         split = _sigma_off_split_float(TWINS, tables, window.positions, 3)
         expected = variance_decomposition(basis, window, TWINS, mu_source="expected")
@@ -787,7 +785,7 @@ def test_variance_decomposition_rejects_window_past_cap(monkeypatch):
     monkeypatch.setattr(correlation, "_tables_at_multiples", unreachable)
     monkeypatch.setattr(correlation, "_sigma_off_split_float", unreachable)
     monkeypatch.setattr(correlation, "_weighted_table_sum", unreachable)
-    basis = build_basis(31623)
+    basis = SieveBasis(31623)
     window = Window.for_capacity(31623)
     assert window.end > MAX_WINDOW_END
     for source in ("expected", "observed"):
@@ -798,7 +796,7 @@ def test_variance_decomposition_rejects_window_past_cap(monkeypatch):
 def test_variance_report_builds_each_tau_table_once():
     # the split and the exact sum both run here and read the tables of one
     # batched build over the basis primes, in order; no one-prime table
-    basis, window = build_basis(101), Window(7, 101 * 101)
+    basis, window = SieveBasis(101), Window(7, 101 * 101)
     assert window.positions <= EXACT_POSITION_LIMIT
     for constellation in (TWINS, TRIPLE, SEXY):
         builds, reads = [], []
@@ -816,7 +814,7 @@ def test_variance_report_builds_each_tau_table_once():
 
         with (
             mock.patch.object(correlation, "_tables_at_multiples", side_effect=build),
-            mock.patch.object(correlation, "sparse_tau_table", wraps=sparse_tau_table) as spy,
+            mock.patch.object(correlation, "tau_numerators", wraps=tau_numerators) as spy,
             mock.patch.object(
                 correlation, "_sigma_off_split_float", reading(_sigma_off_split_float)
             ),

@@ -13,8 +13,8 @@ from gearsieve import engine
 from gearsieve.constellations import COUSINS, SEXY, TWINS, Constellation
 from gearsieve.engine import (
     MAX_WINDOW_END,
+    SieveBasis,
     Window,
-    build_basis,
     certify,
     classical_oracle_count,
     composite_signal,
@@ -24,6 +24,7 @@ from gearsieve.engine import (
     torus_average,
 )
 from gearsieve.harness import sweep_basis
+from gearsieve.primes import odd_primes_upto
 
 
 def _local_prime_set(limit):
@@ -82,14 +83,51 @@ def test_in_range_positions():
     assert w.in_range_positions(1000) == 0
 
 
-def test_build_basis():
-    basis = build_basis(29)
+def test_sieve_basis():
+    basis = SieveBasis(29)
     assert list(basis.primes) == [3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert basis.m0 == 29
     with pytest.raises(ValueError):
-        build_basis(30)
+        SieveBasis(30)
     with pytest.raises(ValueError):
-        build_basis(1)
+        SieveBasis(1)
+
+
+def test_a_basis_derives_its_primes_from_its_bound():
+    # a hand-built prime list used to be stored unchecked: [3, 7] at m0 = 11
+    # certified 14 twins over [7, 121) against 7, and a repeated 11 made
+    # the literal signal sum 99 against 88
+    basis = SieveBasis(11)
+    assert basis.primes.tolist() == odd_primes_upto(11).tolist() == [3, 5, 7, 11]
+    assert basis.primes is basis.primes and not basis.primes.flags.writeable
+    with pytest.raises(ValueError):
+        basis.primes[0] = 7
+    for primes in ([3, 7], [3, 5, 7, 11, 11], [3, 5, 7, 9, 11]):
+        with pytest.raises(TypeError):
+            SieveBasis(m0=11, primes=np.array(primes, dtype=np.int64))
+    for m0 in (-3, 1, 2, 10):
+        with pytest.raises(ValueError, match="must be an odd integer >= 3"):
+            SieveBasis(m0)
+
+
+def test_certify_refuses_a_window_its_basis_does_not_cover():
+    # every odd composite below (m0 + 2)^2 = 169 has a factor <= 11; at
+    # end 170 the pair (167, 169) survives the basis, so the count read
+    # 10 against the oracle's 9, and 5846 against 1221 at end 10^5
+    basis = SieveBasis(11)
+    for end in (170, 10**5):
+        window = Window(first_candidate_above(11), end)
+        for mode in ("counts", "mask"):
+            trace = composite_signal(basis, window, TWINS, mode=mode)
+            for listed in (False, True):
+                with pytest.raises(ValueError, match=r"exceeds \(m0 \+ 2\)\^2 = 169"):
+                    certify(trace, survivors=listed)
+    window = Window(first_candidate_above(11), 169)
+    assert certify(composite_signal(basis, window, TWINS)).count == 9
+    assert classical_oracle_count(window, TWINS) == 9
+    # an even sweep value m0 takes the basis m0 - 1 over [7, m0^2)
+    trace = composite_signal(SieveBasis(29), Window.for_capacity(30), TWINS)
+    assert certify(trace).count == classical_oracle_count(Window(31, 900), TWINS) == 30
 
 
 def test_first_candidate_above():
@@ -100,7 +138,7 @@ def test_first_candidate_above():
 
 
 def test_signal_matches_brute_force():
-    primes = build_basis(9).primes  # 3, 5, 7
+    primes = SieveBasis(9).primes  # 3, 5, 7
     for offsets in ((0, 2), (0, 4), (0, 6), (0, 2, 6)):
         got = signal_values(7, 40, primes, offsets)
         want = _brute_signal(7, 40, [3, 5, 7], offsets, True)
@@ -108,7 +146,7 @@ def test_signal_matches_brute_force():
 
 
 def test_signal_values_rejects_counts_past_window_cap():
-    primes = build_basis(31).primes
+    primes = SieveBasis(31).primes
     # rejected before any allocation or striding
     with mock.patch.object(engine, "_stride_blocks", side_effect=AssertionError):
         with pytest.raises(ValueError):
@@ -118,7 +156,7 @@ def test_signal_values_rejects_counts_past_window_cap():
 
 
 def test_signal_proper_variant_matches_brute_force():
-    primes = build_basis(13).primes
+    primes = SieveBasis(13).primes
     got = signal_values(7, 60, primes, (0, 2), count_self_hits=False)
     want = _brute_signal(7, 60, [3, 5, 7, 11, 13], (0, 2), False)
     assert got.tolist() == want
@@ -127,7 +165,7 @@ def test_signal_proper_variant_matches_brute_force():
 def test_certified_twins_match_local_oracle():
     prime_set = _local_prime_set(1000)
     for m0 in (9, 15, 31):
-        basis = build_basis(m0)
+        basis = SieveBasis(m0)
         window = Window.for_capacity(m0)
         trace = composite_signal(basis, window, TWINS)
         result = certify(trace, survivors=True)
@@ -143,7 +181,7 @@ def test_certified_twins_match_local_oracle():
 def test_lowest_anchor_matches_classical_oracle():
     # 5 is the smallest anchor a window accepts; (5, 7) counts on both sides
     window = Window(5, 101 * 101)
-    trace = composite_signal(build_basis(101), window, TWINS, count_self_hits=False)
+    trace = composite_signal(SieveBasis(101), window, TWINS, count_self_hits=False)
     assert certify(trace).count == classical_oracle_count(window, TWINS) == 209
 
 
@@ -151,7 +189,7 @@ def test_certify_against_classical_oracle():
     # anchoring above the basis bound keeps every member clear of the
     # basis primes, so literal certification equals true tuple counting
     for m0, constellation in ((15, TWINS), (21, SEXY), (31, COUSINS)):
-        basis = build_basis(m0)
+        basis = SieveBasis(m0)
         window = Window(first_candidate_above(m0), m0 * m0)
         trace = composite_signal(basis, window, constellation)
         assert certify(trace).count == classical_oracle_count(window, constellation)
@@ -160,14 +198,14 @@ def test_certify_against_classical_oracle():
 def test_reference_window_counts():
     # certified twin counts over [7, m0^2) for the standard ladder head
     for m0, expected in ((29, 30), (49, 66), (99, 197)):
-        basis = build_basis(m0)
+        basis = SieveBasis(m0)
         window = Window(7, (m0 + 1) ** 2)
         trace = composite_signal(basis, window, TWINS)
         assert certify(trace).count == expected
 
 
 def test_survivor_values_are_twin_starts():
-    basis = build_basis(29)
+    basis = SieveBasis(29)
     window = Window(7, 900)
     result = certify(composite_signal(basis, window, TWINS), survivors=True)
     assert result.count == 30
@@ -181,7 +219,7 @@ def test_survivor_values_are_twin_starts():
 def test_inclusive_zero_count_under_proper_variant():
     # positions whose members are all prime, even when a member is a basis
     # prime itself, survive once self-hits are excluded
-    basis = build_basis(29)
+    basis = SieveBasis(29)
     window = Window(7, 900)
     trace = composite_signal(basis, window, TWINS, count_self_hits=False)
     assert int(np.count_nonzero(trace.values == 0)) == 33
@@ -191,7 +229,7 @@ def test_inclusive_zero_count_under_proper_variant():
 
 
 def test_partition_independence_counts():
-    basis = build_basis(31)
+    basis = SieveBasis(31)
     window = Window.for_capacity(31)
     reference = composite_signal(basis, window, TWINS, segments=1).values
     for segments in (3, 8, 17):
@@ -200,7 +238,7 @@ def test_partition_independence_counts():
 
 
 def test_partition_independence_mask():
-    basis = build_basis(31)
+    basis = SieveBasis(31)
     window = Window.for_capacity(31)
     reference = composite_signal(basis, window, TWINS, mode="mask").zero_mask()
     for segments in (3, 8, 17):
@@ -209,7 +247,7 @@ def test_partition_independence_mask():
 
 
 def test_mask_mode_agrees_with_counts_mode():
-    basis = build_basis(99)
+    basis = SieveBasis(99)
     window = Window.for_capacity(99)
     counts = composite_signal(basis, window, TWINS)
     mask = composite_signal(basis, window, TWINS, mode="mask", segments=5)
@@ -218,7 +256,7 @@ def test_mask_mode_agrees_with_counts_mode():
 
 
 def test_proper_signal_matches_direct_proper_pass():
-    basis = build_basis(29)
+    basis = SieveBasis(29)
     window = Window(5, 900)
     direct = composite_signal(basis, window, TWINS, count_self_hits=False)
     assert not direct.count_self_hits
@@ -228,7 +266,7 @@ def test_proper_signal_matches_direct_proper_pass():
 
 
 def test_composite_signal_validation():
-    basis = build_basis(9)
+    basis = SieveBasis(9)
     window = Window(7, 100)
     with pytest.raises(ValueError):
         composite_signal(basis, window, Constellation("blocked", (0, 2, 4)))

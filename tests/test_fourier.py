@@ -10,7 +10,7 @@ import pytest
 from gearsieve import correlation, exact, fourier
 from gearsieve.constellations import TWINS
 from gearsieve.correlation import tau, variance_decomposition
-from gearsieve.engine import MAX_WINDOW_END, Window, build_basis
+from gearsieve.engine import MAX_WINDOW_END, SieveBasis, Window
 from gearsieve.fourier import (
     fit_decay_exponent,
     fit_power_law,
@@ -161,7 +161,7 @@ def test_float_sums_peak_memory_at_m0_1000():
     # buffers, taken only once each chunk is built, so a 333k-entry chunk
     # adds little to the chunk's own arrays (the ergodic sum traces 5.3
     # MiB; binning the whole chunk at once took 14 MiB)
-    basis, window = build_basis(999), Window.for_capacity(1000)
+    basis, window = SieveBasis(999), Window.for_capacity(1000)
     calls = (
         lambda: weighted_ergodic_sum(1000),
         lambda: variance_decomposition(basis, window, TWINS, mu_source="expected"),

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from gearsieve.constellations import TWINS
-from gearsieve.engine import Window, build_basis, certify, composite_signal, goldbach_count
+from gearsieve.engine import SieveBasis, Window, certify, composite_signal, goldbach_count
 
 LIMIT = 10**8
 # 2*3*5*...*19 has the most small prime factors below 10^8, each of which
@@ -229,6 +229,6 @@ def test_certified_twins_at_the_top_of_the_domain():
     # the literal signal kills every member that is a basis prime, so the
     # certified starts are the twin starts above m0 in the largest window
     m0 = 31621
-    trace = composite_signal(build_basis(m0), Window.for_capacity(m0), TWINS, mode="mask")
+    trace = composite_signal(SieveBasis(m0), Window.for_capacity(m0), TWINS, mode="mask")
     result = certify(trace, survivors=True)
     assert (result.count, _digest(result.survivors)) == _segmented_twins(m0)

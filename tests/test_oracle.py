@@ -31,8 +31,8 @@ from hypothesis.strategies import integers, sampled_from, sets
 from gearsieve import engine, oracle, primes
 from gearsieve.constellations import TWINS, Constellation
 from gearsieve.engine import (
+    SieveBasis,
     Window,
-    build_basis,
     certify,
     classical_oracle_count,
     composite_signal,
@@ -194,7 +194,7 @@ def test_oracle_ignores_a_faulty_prime_table():
     with mock.patch.object(primes, "primes_upto", faulty), mock.patch.object(
         engine, "primes_upto", faulty
     ):
-        signal = certify(composite_signal(build_basis(149), window, TWINS)).count
+        signal = certify(composite_signal(SieveBasis(149), window, TWINS)).count
         assert signal != expected  # the fault is real on the signal path
         for modulus in MODULI:
             assert _oracle(window, TWINS, oracle._ORACLE_CHUNK, modulus) == expected
@@ -217,7 +217,7 @@ def test_published_counts():
         m0 = math.isqrt(end - 1) + 1
         m0 += 1 - m0 % 2
         trace = composite_signal(
-            build_basis(m0), Window(5, end), TWINS, count_self_hits=False, mode="mask"
+            SieveBasis(m0), Window(5, end), TWINS, count_self_hits=False, mode="mask"
         )
         assert certify(trace).count + 1 == want
     primes_only = Constellation("prime", (0,))

@@ -19,8 +19,8 @@ from hypothesis.strategies import booleans, integers, sampled_from, sets
 from gearsieve import engine
 from gearsieve.constellations import TWINS, Constellation, is_admissible
 from gearsieve.engine import (
+    SieveBasis,
     Window,
-    build_basis,
     certify,
     classical_oracle_count,
     composite_signal,
@@ -67,7 +67,7 @@ def _window_case(draw_offsets, anchor_seed, m0_half, length_seed):
     sixes = anchor_seed % max(1, (m0 * m0 - 7) // 6)
     anchor = 6 * sixes + (5 if anchor_seed % 2 == 0 else 7)
     end = anchor + 1 + length_seed % (m0 * m0 - anchor)
-    return constellation, build_basis(m0), Window(anchor, end)
+    return constellation, SieveBasis(m0), Window(anchor, end)
 
 
 @settings(max_examples=150, deadline=None)
@@ -169,7 +169,7 @@ def test_survivor_count_matches_brute_force(
     # starts from 1 put the member 1 and small basis primes, so self-hits,
     # at the start of the walk
     offsets = (0, *sorted(offsets))
-    start, primes = 2 * start_half + 1, build_basis(2 * m0_half + 1).primes
+    start, primes = 2 * start_half + 1, SieveBasis(2 * m0_half + 1).primes
     want = np.flatnonzero(_brute_values(start, count, primes, offsets, count_self_hits) == 0)
     args = (start, count, primes, offsets, count_self_hits)
     with mock.patch.object(engine, "_BLOCK", block), \
@@ -265,17 +265,17 @@ def test_member_minus_p_is_rejected():
     # r = 4 has the members 9 and -11. The self-hit skip is exact only when
     # no member is -p, which no caller has, so the walk refuses one
     with pytest.raises(InvariantError):
-        engine._survivor_count(1, 50, build_basis(11).primes, (0, -20), False)
+        engine._survivor_count(1, 50, SieveBasis(11).primes, (0, -20), False)
     # r = 0 has the members 1 and -23; the 15 wheel's tile is 7*11*13*17,
     # so -23 is the only -p member and 23 a prime the core strides
     with pytest.raises(InvariantError):
-        engine._survivor_count(1, 1, build_basis(31).primes, (0, -24), False)
+        engine._survivor_count(1, 1, SieveBasis(31).primes, (0, -24), False)
 
 
 def test_proper_mask_walk_makes_one_core_call():
     # the mask walk never recomputes a prefix through the counts path
     unreachable = mock.patch.object(engine, "signal_values", side_effect=AssertionError)
-    basis, window = build_basis(31), Window(5, 31 * 31)
+    basis, window = SieveBasis(31), Window(5, 31 * 31)
     with unreachable:
         counted = goldbach_count(1000)
         listed = goldbach_count(1000, survivors=True)
@@ -299,7 +299,7 @@ def test_proper_mask_walk_makes_one_core_call():
 def test_survivor_list_peak_memory_below_a_byte_per_position():
     # the survivors are a sparse set: about 1.2% of positions for twins
     # here, kept as int64, so no per-position mask may be built
-    basis = build_basis(3001)
+    basis = SieveBasis(3001)
     window = Window.for_capacity(3001)
     tracemalloc.start()
     try:
@@ -314,7 +314,7 @@ def test_survivor_list_peak_memory_below_a_byte_per_position():
 def test_survivor_list_costs_at_most_24_bytes_a_survivor():
     # the starts are one int64 array; a tuple of Python ints took 64 bytes
     # a survivor here
-    basis, window = build_basis(10001), Window.for_capacity(10001)
+    basis, window = SieveBasis(10001), Window.for_capacity(10001)
     trace = composite_signal(basis, window, TWINS, mode="mask")
     tracemalloc.start()
     try:
@@ -327,7 +327,7 @@ def test_survivor_list_costs_at_most_24_bytes_a_survivor():
 
 
 def test_survivors_are_a_read_only_ascending_int64_array():
-    basis, window = build_basis(101), Window.for_capacity(101)
+    basis, window = SieveBasis(101), Window.for_capacity(101)
     results = [
         certify(composite_signal(basis, window, TWINS, mode=mode), survivors=True)
         for mode in ("counts", "mask")
@@ -398,7 +398,7 @@ def test_signal_sums_take_the_wide_counter():
     constellation = Constellation(
         "sixteen", (0, 2, 6, 8, 12, 18, 20, 26, 30, 32, 36, 42, 48, 50, 56, 62)
     )
-    basis, window = build_basis(101), Window(10**8 + 1, 10**8 + 1_001)
+    basis, window = SieveBasis(101), Window(10**8 + 1, 10**8 + 1_001)
     assert is_admissible(constellation).admissible
     assert engine._counter_dtype(window.anchor, window.positions, constellation.offsets) == np.uint16
     want = _sums_oracle(basis, window, constellation)
@@ -428,7 +428,7 @@ def test_signal_sums_at_the_in_range_block_edge(offsets, edge):
     # one. The last position, 881 (881, 883 and 887 are prime), is a
     # literal zero past in_range, which strict must not count.
     constellation = Constellation("drawn", offsets)
-    basis, window = build_basis(31), Window(7, 883)
+    basis, window = SieveBasis(31), Window(7, 883)
     want = _sums_oracle(basis, window, constellation)
     assert _brute_values(881, 1, basis.primes, offsets, True)[0] == 0
     edge_at = window.in_range_positions(constellation.span) - edge
@@ -453,7 +453,7 @@ def test_signal_sums_make_one_omega_stride(offsets):
         return stride(*args, **kwargs)
 
     constellation = Constellation("drawn", offsets)
-    basis, window = build_basis(101), Window(5, 101 * 101)
+    basis, window = SieveBasis(101), Window(5, 101 * 101)
     args = (window.anchor, window.positions, basis.primes, offsets)
     one_stride = [((0,), offsets[-1] // 2)]
     with mock.patch.object(engine, "_stride_blocks", spy):
@@ -490,7 +490,7 @@ def test_signal_values_take_negative_even_offsets(
     # the omega stride starts at the smallest member, so any even offsets
     # and any start, even or odd, give the brute-force signal
     offsets = (0, *sorted(offsets - {0}))
-    primes = build_basis(2 * m0_half + 1).primes
+    primes = SieveBasis(2 * m0_half + 1).primes
     with mock.patch.object(engine, "_BLOCK", block):
         got = signal_values(start, count, primes, offsets, count_self_hits)
     want = _brute_values(start, count, primes, offsets, count_self_hits)
@@ -499,7 +499,7 @@ def test_signal_values_take_negative_even_offsets(
 
 def test_signal_values_reject_odd_offsets():
     # an odd offset is no shift of the omega row; no admissible tuple has one
-    primes = build_basis(31).primes
+    primes = SieveBasis(31).primes
     with mock.patch.object(engine, "_stride_blocks", side_effect=AssertionError):
         for offsets in ((0, 1), (0, 2, 5), (0, -3)):
             with pytest.raises(ValueError, match="even"):
@@ -508,7 +508,7 @@ def test_signal_values_reject_odd_offsets():
 
 @pytest.mark.parametrize("count_self_hits", [True, False])
 def test_zero_bits_pack_from_positions_without_a_mask(count_self_hits):
-    basis, window = build_basis(4001), Window.for_capacity(4001)
+    basis, window = SieveBasis(4001), Window.for_capacity(4001)
     trace = composite_signal(
         basis, window, TWINS, count_self_hits=count_self_hits, mode="mask"
     )
@@ -553,7 +553,7 @@ def _row_size_spy(sizes):
 def test_mask_rows_hold_only_live_entries(block, shape, count_self_hits):
     # the last block of a lane strides and yields only the entries left in
     # it, and the walk still finds every brute-force survivor
-    primes = build_basis(31).primes
+    primes = SieveBasis(31).primes
     for n_t in _edge_lengths(block):
         # every lane n_t entries long, then only the first eight of 15
         for count in (15 * n_t, 15 * n_t - 7):
@@ -582,7 +582,7 @@ def test_counts_rows_hold_live_entries_and_reach(block, offsets):
     # counts mode strides one lane of every position, with a reach of
     # (max h)/2 entries past each block; the last row keeps that reach
     constellation = Constellation("drawn", offsets)
-    basis = build_basis(31)
+    basis = SieveBasis(31)
     for count in _edge_lengths(block):
         window = Window(5, 5 + 2 * count)
         args = (window.anchor, count, basis.primes, offsets)
@@ -649,7 +649,7 @@ TILE_ROW_BLOCKS = (8, 16, 64, 1 << 19)
 def test_counts_rows_start_from_the_tile(block, count_self_hits, m0):
     # the single counts lane: tile primes 3, 5, 7, 11 and 13 (fewer below
     # m0 = 13), the rest strided, rows reaching 1 or 3 entries past a block
-    primes = build_basis(m0).primes
+    primes = SieveBasis(m0).primes
     with mock.patch.object(engine, "_BLOCK", block):
         for start in TILE_STARTS:
             for reach in (1, 3):
@@ -663,7 +663,7 @@ def test_counts_rows_start_from_the_tile(block, count_self_hits, m0):
 def test_mask_rows_start_from_the_tile(block, count_self_hits, modulus, m0):
     # every lane of the 15 and 105 wheels, tile primes 7 to 17 or 11 to 19;
     # m0 = 5 leaves no tile prime, and m0 = 7 none on the 105 wheel
-    primes = build_basis(m0).primes
+    primes = SieveBasis(m0).primes
     with mock.patch.object(engine, "_BLOCK", block):
         for start in TILE_STARTS:
             for offsets in ((0, 2), (0, 2, 6)):
@@ -680,7 +680,7 @@ def test_tile_periods():
         calls.append(tile.size // 2)
         return fill(view, tile, phase)
 
-    primes = build_basis(101).primes
+    primes = SieveBasis(101).primes
     with mock.patch.object(engine, "_fill_from_tile", spy):
         for modulus, period in ((1, 3 * 5 * 7 * 11 * 13), (15, 7 * 11 * 13 * 17),
                                 (105, 11 * 13 * 17 * 19)):
@@ -690,7 +690,7 @@ def test_tile_periods():
 
 
 def test_inverses_match_pow():
-    primes = build_basis(math.isqrt(engine.MAX_WINDOW_END) | 1).primes
+    primes = SieveBasis(math.isqrt(engine.MAX_WINDOW_END) | 1).primes
     for modulus in (1, 15, 105):
         ps = primes[modulus % primes != 0]
         want = [pow(2 * modulus, -1, p) for p in ps.tolist()]
@@ -726,7 +726,7 @@ def test_signal_sums_match_signal_values(offsets, anchor_seed, m0_half, length):
     constellation = Constellation("drawn", (0, *sorted(offsets)))
     assume(is_admissible(constellation).admissible)
     anchor = 6 * anchor_seed + 5
-    basis, window = build_basis(2 * m0_half + 1), Window(anchor, anchor + length)
+    basis, window = SieveBasis(2 * m0_half + 1), Window(anchor, anchor + length)
     assert signal_sums(basis, window, constellation) == _sums_oracle(
         basis, window, constellation, signal_values
     )

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from gearsieve.constellations import TWINS, Constellation
-from gearsieve.engine import SignalSums, Window, build_basis, signal_sums
+from gearsieve.engine import SieveBasis, SignalSums, Window, signal_sums
 from gearsieve.oracle import count_prime_tuples
 
 TRIPLE = Constellation("triple", (0, 2, 6))
@@ -131,7 +131,7 @@ def test_signal_sums_match_residue_counts(m0, constellation):
     window = _tail_window(m0, constellation.offsets)
     want = _oracle_sums(m0, window, constellation.offsets)
     assert want.strict < want.inclusive
-    assert signal_sums(build_basis(m0), window, constellation) == want
+    assert signal_sums(SieveBasis(m0), window, constellation) == want
 
 
 def test_residue_counts_match_a_brute_force_signal():
