@@ -26,7 +26,8 @@ below 2^53 (the rare larger ones are taken as Python ints), and Python
 ints take one step per distinct product of bases, so numpy does the
 strided work. Floats appear at report boundaries (MomentReport fields,
 table cells) and in the float64 blocked/surviving split, which covers
-larger windows and cross-checks the exact sum.
+windows up to MAX_WINDOW_END and cross-checks the exact sum. Both sums
+visit the multiples of the basis's smallest blocking prime, or of 1.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .engine import (
     SieveBasis,
     Window,
     _fill_from_tile,
+    _integer,
     _inverses,
     _tile_primes,
     certify,
@@ -96,9 +98,9 @@ class MomentReport:
 
     sigma_off carries the preferred off-diagonal estimate. sigma_off_direct
     is the exact sum, set when positions <= EXACT_POSITION_LIMIT;
-    sigma_off_split is the float64 blocked/surviving split, set whenever
-    the basis holds a blocking prime. sigma_off is the direct value when
-    there is one, the split otherwise.
+    sigma_off_split is the float64 blocked/surviving split at stride p_b
+    (the smallest blocking prime of the basis) or 1, always set.
+    sigma_off is the direct value when there is one, the split otherwise.
     """
 
     m0: int
@@ -114,8 +116,8 @@ class MomentReport:
     chebyshev_desert_bound: float
     paley_zygmund_bound: float
     dc_energy: float
-    sigma_off_direct: float | None = None
-    sigma_off_split: float | None = None
+    sigma_off_direct: float | None
+    sigma_off_split: float
 
 
 @dataclass(frozen=True)
@@ -572,24 +574,23 @@ def _correct(acc: np.ndarray, j: int, corrections) -> None:
 
 
 def _sigma_off_split_float(
-    constellation: Constellation, tables, positions: int, p_b: int
+    constellation: Constellation, tables, positions: int, stride: int
 ) -> float:
     """The blocked/surviving split of the covariance sum, in float64.
 
-    tables are the basis primes' _tables_at_multiples of p_b. Distances
-    not divisible by the blocking prime p_b contribute exactly -mu^2 each
-    (tau_{p_b} vanishes there); the multiples d = p_b * j keep the product
-    over the other primes times 1/p_b, summed by weighted_float_sum.
+    tables are the basis primes' _tables_at_multiples of stride: p_b, the
+    smallest blocking prime of the basis, or 1. Each distance off the
+    multiples of p_b adds exactly -mu^2 (tau_{p_b} vanishes there); the
+    multiples d = p_b * j keep the product over the other primes times
+    1/p_b, summed by weighted_float_sum. At stride 1 nothing is dropped.
     """
     r = positions
-    dmax = (r - 1) // p_b
-    mu = 1.0
-    for p, *_ in tables:
-        mu *= (p - omega(constellation, p)) / p
-    on_weight = dmax * r - p_b * dmax * (dmax + 1) // 2
+    dmax = (r - 1) // stride
+    mu = math.prod((p - omega(constellation, p)) / p for p, *_ in tables)
+    on_weight = dmax * r - stride * dmax * (dmax + 1) // 2
     off_weight = r * (r - 1) // 2 - on_weight
-    others = [table for table in tables if table[0] != p_b]
-    surviving = weighted_float_sum(others, r, p_b, p_b, mu * mu)
+    others = [table for table in tables if table[0] != stride]
+    surviving = weighted_float_sum(others, r, stride, stride, mu * mu)
     return surviving - (mu * mu) * float(off_weight)
 
 
@@ -602,14 +603,15 @@ def variance_decomposition(
 ) -> MomentReport:
     """Moment report for the certified count over a window.
 
-    mu_N is the certified count (mu_source="observed", the default) or the
-    mean-field expectation ("expected"). sigma_diag = mu (1 - mu/positions)
-    over the position count. sigma_off is the weighted covariance sum: the
-    exact sum, rounded once, when positions <= EXACT_POSITION_LIMIT, else
-    the float64 blocked/surviving split, which also runs beside the exact
-    sum as an independent check whenever the basis holds a blocking prime.
+    mu_N is the certified count (mu_source="observed", the default; a given
+    observed_count must be an integer in [0, positions]) or the mean-field
+    expectation ("expected"). sigma_diag = mu (1 - mu/positions). sigma_off
+    is the weighted covariance sum over the multiples of the stride, the
+    smallest blocking prime of the basis or 1: the exact sum, rounded once,
+    when positions <= EXACT_POSITION_LIMIT, else the float64 blocked/surviving
+    split, which also runs beside the exact sum as an independent check.
     The window end is capped at MAX_WINDOW_END, since the split builds
-    float arrays (in chunks) over a third of the positions.
+    float arrays (in chunks) over the positions.
     """
     if mu_source not in MU_SOURCES:
         raise ValueError(f"mu_source must be 'observed' or 'expected', got {mu_source}")
@@ -619,15 +621,10 @@ def variance_decomposition(
     if not report.admissible:
         raise ValueError(f"constellation {constellation.name} is not admissible")
     positions = window.positions
-    primes = [int(p) for p in basis.primes]
-    blocking_in_basis = [p for p in report.blocking if p in primes]
-    p_b = min(blocking_in_basis) if blocking_in_basis else None
-    # Checked before the count, which would stride the whole window.
-    if p_b is None and positions > EXACT_POSITION_LIMIT:
-        raise ValueError(
-            f"window too large for the direct sum and {constellation.name} "
-            "has no blocking prime for the split method"
-        )
+    if observed_count is not None:
+        if not 0 <= _integer("observed_count", observed_count) <= positions:
+            raise ValueError(f"observed_count {observed_count} is not in [0, {positions}]")
+    stride = min((p for p in report.blocking if p <= basis.m0), default=1)
 
     if mu_source == "observed":
         if observed_count is None:
@@ -637,19 +634,15 @@ def variance_decomposition(
     else:
         mu = mean_field(constellation, basis.m0, positions)
 
-    sigma_diag = mu * (1.0 - mu / positions) if positions > 0 else 0.0
+    sigma_diag = mu * (1.0 - mu / positions)
 
-    # Both sums read the tables at multiples of p_b (or of 1); built once.
-    tables = _tables_at_multiples(constellation, primes, p_b or 1)
+    # Both sums read the tables at multiples of the stride; built once.
+    tables = _tables_at_multiples(constellation, basis.primes, stride)
+    sigma_off = sigma_off_split = _sigma_off_split_float(constellation, tables, positions, stride)
     sigma_off_direct = None
-    sigma_off_split = None
-    if p_b is not None:
-        sigma_off = sigma_off_split = _sigma_off_split_float(
-            constellation, tables, positions, p_b
-        )
     if positions <= EXACT_POSITION_LIMIT:
         sigma_off = sigma_off_direct = _sigma_off_direct_exact(
-            constellation, tables, positions, p_b or 1
+            constellation, tables, positions, stride
         )
 
     variance = sigma_diag + sigma_off
@@ -658,13 +651,8 @@ def variance_decomposition(
         snr = mu / math.sqrt(variance) if variance > 0 else math.inf
         cv = 1.0 / snr if snr > 0 else math.inf
         chebyshev = min(1.0, max(0.0, variance / (mu * mu)))
-        dc_energy = mu * mu / positions
     else:
-        fano = math.nan
-        snr = 0.0
-        cv = math.inf
-        chebyshev = 1.0
-        dc_energy = 0.0
+        fano, snr, cv, chebyshev = math.nan, 0.0, math.inf, 1.0
     return MomentReport(
         m0=basis.m0,
         L=window.length,
@@ -678,7 +666,7 @@ def variance_decomposition(
         cv=cv,
         chebyshev_desert_bound=chebyshev,
         paley_zygmund_bound=paley_zygmund_bound(mu, variance),
-        dc_energy=dc_energy,
+        dc_energy=mu * mu / positions,
         sigma_off_direct=sigma_off_direct,
         sigma_off_split=sigma_off_split,
     )

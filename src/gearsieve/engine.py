@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -85,6 +86,14 @@ _WHEEL = (3, 5)
 _COUNT_WHEEL = (3, 5, 7)
 
 
+def _integer(name: str, value) -> int:
+    """value as an int (numpy ints too); a float or a str raises TypeError naming name."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True, eq=False)
 class SieveBasis:
     """All odd primes in [3, m0], ascending, for an odd capacity m0 >= 3.
@@ -98,6 +107,7 @@ class SieveBasis:
     primes: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "m0", _integer("m0", self.m0))
         if self.m0 < 3 or self.m0 % 2 == 0:
             raise ValueError(f"basis capacity must be an odd integer >= 3, got {self.m0}")
         object.__setattr__(self, "primes", odd_primes_upto(self.m0))
@@ -115,6 +125,8 @@ class Window:
     end: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "anchor", _integer("anchor", self.anchor))
+        object.__setattr__(self, "end", _integer("end", self.end))
         # Below 5 a window reaches 1 and negative values, which no basis
         # prime strikes: anchor 1 would certify (1, 3) as a twin pair.
         if self.anchor < 5:
@@ -127,7 +139,7 @@ class Window:
     @classmethod
     def for_capacity(cls, m0: int, anchor: int = 7) -> "Window":
         """The certification window [anchor, m0^2) for a basis bound m0."""
-        return cls(anchor=anchor, end=m0 * m0)
+        return cls(anchor=anchor, end=_integer("m0", m0) ** 2)
 
     @property
     def length(self) -> int:

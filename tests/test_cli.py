@@ -561,13 +561,30 @@ def test_float_sum_commands_past_window_cap_exit_two(capsys):
 
 
 def test_moments_without_split_past_exact_limit_exits_two_before_counting(capsys):
-    # (0, 6) has no blocking prime, and m0 = 20001 has more positions than
-    # the exact sum takes, so the report is refused before any striding
-    unreachable = AssertionError("the window was counted before the size check")
+    # (0, 6) has no blocking prime, so its split runs at stride 1 on any
+    # window: it used to be refused past the exact limit (m0 = 20001 exited
+    # 2), and now the window cap is its domain edge, checked before any
+    # striding
+    assert 31623**2 > MAX_WINDOW_END
+    unreachable = AssertionError("the window was counted before the cap check")
     with mock.patch.object(correlation, "composite_signal", side_effect=unreachable), \
             mock.patch.object(correlation, "certify", side_effect=unreachable):
-        assert main(["moments", "--m0", "20001", "--tuple", "0,6"]) == 2
-    assert "no blocking prime" in capsys.readouterr().err
+        assert main(["moments", "--m0", "31623", "--tuple", "0,6"]) == 2
+    assert str(MAX_WINDOW_END) in capsys.readouterr().err
+
+
+def test_table2_runs_a_tuple_without_blocking_prime(tmp_path, capsys):
+    # (0, 6) past the exact limit: the certified counts are the oracle's
+    # over the same windows, counted from the first candidate above m0
+    assert main(["table2", "--tuple", "0,6", "--m0-list", "500,1000", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    rows = (tmp_path / "table2.csv").read_text().splitlines()[1:]
+    sexy = Constellation("sexy", (0, 6))
+    for row, m0 in zip(rows, (500, 1000), strict=True):
+        cells = row.split(",")
+        assert int(cells[0]) == m0
+        window = engine.Window(engine.first_candidate_above(m0), m0 * m0)
+        assert int(cells[2]) == engine.classical_oracle_count(window, sexy)
 
 
 def test_fourier_command(capsys):

@@ -15,6 +15,7 @@ from gearsieve import correlation, exact
 from gearsieve.constellations import COUSINS, SEXY, TWINS, Constellation, is_admissible, omega
 from gearsieve.correlation import (
     EXACT_POSITION_LIMIT,
+    MU_SOURCES,
     _overlap_table,
     _sigma_off_direct_exact,
     _sigma_off_split_float,
@@ -36,6 +37,8 @@ from gearsieve.exact import exact_float_sum
 from gearsieve.primes import odd_primes_upto
 
 TRIPLE = Constellation("triple", (0, 2, 6))
+# Admissible, with no blocking prime: its sums run at stride 1.
+SEXY_TRIPLE = Constellation("sexy_triple", (0, 6, 12))
 
 
 def test_tau_twin_values_p5():
@@ -262,13 +265,15 @@ def _dense_split_reference(constellation, primes, positions, p_b):
 
 
 def test_sigma_off_split_float_matches_dense_product():
-    for constellation in (TWINS, TRIPLE):
+    # stride 3 where 3 blocks the tuple, stride 1 where no prime does
+    cases = ((TWINS, 3), (TRIPLE, 3), (SEXY, 1), (SEXY_TRIPLE, 1))
+    for constellation, stride in cases:
         for m0 in (101, 211):
             primes = [int(p) for p in odd_primes_upto(m0)]
             positions = Window(7, m0 * m0).positions
-            tables = _tables_at_multiples(constellation, primes, 3)
-            got = _sigma_off_split_float(constellation, tables, positions, 3)
-            want = _dense_split_reference(constellation, primes, positions, 3)
+            tables = _tables_at_multiples(constellation, primes, stride)
+            got = _sigma_off_split_float(constellation, tables, positions, stride)
+            want = _dense_split_reference(constellation, primes, positions, stride)
             assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -429,6 +434,27 @@ def test_variance_decomposition_observed_count_passthrough():
     assert report.mu_N == 30
 
 
+def test_variance_decomposition_rejects_observed_count_outside_its_domain():
+    # checked before any table is built: at Window(7, 900), -5 gave
+    # sigma_diag -5.06, 10**6 a Fano ratio of -2236, and 3.7 was taken as
+    # mu = 3.7
+    basis, window = SieveBasis(29), Window(7, 900)
+    for count in (0, 447, np.int64(30)):
+        report = variance_decomposition(basis, window, TWINS, observed_count=count)
+        assert report.mu_N == count
+    unreachable = AssertionError("a table was built before the domain check")
+    outside = r"observed_count .* not in \[0, 447\]"
+    cases = [(count, ValueError, outside) for count in (-5, 448, 10**6)]
+    cases += [(count, TypeError, "observed_count must be") for count in (3.7, 30.0, "30")]
+    with mock.patch.object(correlation, "_tables_at_multiples", side_effect=unreachable):
+        for count, error, match in cases:
+            for source in MU_SOURCES:
+                with pytest.raises(error, match=match):
+                    variance_decomposition(
+                        basis, window, TWINS, mu_source=source, observed_count=count
+                    )
+
+
 def test_variance_decomposition_rejects_bad_source():
     basis = SieveBasis(29)
     window = Window(7, 900)
@@ -437,12 +463,31 @@ def test_variance_decomposition_rejects_bad_source():
 
 
 def test_sexy_has_no_blocking_prime_guard():
-    # the sexy pair admits no blocking prime, so windows beyond the exact
-    # cutoff cannot fall back to the split evaluation
+    # the sexy pair admits no blocking prime, so past the exact cutoff its
+    # split runs alone at stride 1 (it used to be refused there)
     basis = SieveBasis(201)
     window = Window(7, 202 * 202)
-    with pytest.raises(ValueError):
-        variance_decomposition(basis, window, SEXY)
+    assert window.positions == 20399 > EXACT_POSITION_LIMIT
+    report = variance_decomposition(basis, window, SEXY)
+    assert report.sigma_off_direct is None
+    assert report.sigma_off == report.sigma_off_split
+    primes = [int(p) for p in basis.primes]
+    want = _dense_split_reference(SEXY, primes, window.positions, 1)
+    assert report.sigma_off_split == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("offsets", [(0, 6), (0, 12), (0, 6, 12)])
+def test_stride_one_split_matches_exact_sum(offsets):
+    # with no blocking prime both sums run over every distance, side by side
+    # on every window of at most EXACT_POSITION_LIMIT positions
+    constellation = Constellation("unblocked", offsets)
+    assert is_admissible(constellation).blocking == ()
+    for m0 in (29, 101, 199):
+        window = Window(7, (m0 + 1) ** 2)
+        assert window.positions <= EXACT_POSITION_LIMIT
+        report = variance_decomposition(SieveBasis(m0), window, constellation)
+        assert report.sigma_off == report.sigma_off_direct
+        assert report.sigma_off_split == pytest.approx(report.sigma_off_direct, rel=1e-12)
 
 
 def test_sexy_small_window_decomposition():
@@ -824,11 +869,12 @@ def test_variance_report_builds_each_tau_table_once():
         ):
             report = variance_decomposition(basis, window, constellation, observed_count=100)
         assert report.sigma_off_direct is not None
-        assert (report.sigma_off_split is not None) == (constellation is not SEXY)
+        assert report.sigma_off_split is not None
         assert spy.call_count == 0
         assert len(builds) == 1
-        (c, primes, _), tables = builds[0]
+        (c, primes, stride), tables = builds[0]
         assert c == constellation
         assert list(primes) == [int(p) for p in basis.primes]
-        assert len(reads) == (2 if constellation is not SEXY else 1)
+        assert stride == (1 if constellation is SEXY else 3)
+        assert len(reads) == 2
         assert all(read is tables for read in reads)

@@ -110,6 +110,26 @@ def test_a_basis_derives_its_primes_from_its_bound():
             SieveBasis(m0)
 
 
+def test_basis_and_window_take_integers_only():
+    # SieveBasis(11.5) used to build with primes [3, 5, 7, 11], and
+    # Window.for_capacity(11.5) gave Window(7, 132.25)
+    for bad in (11.0, 11.5, "11"):
+        with pytest.raises(TypeError, match="m0 must be an integer"):
+            SieveBasis(bad)
+        with pytest.raises(TypeError, match="m0 must be an integer"):
+            Window.for_capacity(bad)
+        with pytest.raises(TypeError, match="anchor must be an integer"):
+            Window(bad, 200)
+        with pytest.raises(TypeError, match="end must be an integer"):
+            Window(7, bad)
+    # a numpy int passes and is stored as an int
+    basis = SieveBasis(np.int64(11))
+    assert type(basis.m0) is int and basis.primes.tolist() == [3, 5, 7, 11]
+    for window in (Window.for_capacity(np.int64(11)), Window(np.int64(7), np.int64(121))):
+        assert window == Window(7, 121)
+        assert type(window.anchor) is int and type(window.end) is int
+
+
 def test_certify_refuses_a_window_its_basis_does_not_cover():
     # every odd composite below (m0 + 2)^2 = 169 has a factor <= 11; at
     # end 170 the pair (167, 169) survives the basis, so the count read
