@@ -12,9 +12,11 @@ import dataclasses
 import functools
 import json
 import sys
+from collections.abc import Callable
 
 import numpy as np
 
+from . import _lazy_attributes
 from .constellations import (
     COUSINS,
     SEXY,
@@ -22,11 +24,9 @@ from .constellations import (
     Constellation,
     is_admissible,
 )
-from .correlation import MU_SOURCES, tau_table, variance_decomposition
 from .diophantine import canonical_seed, is_prime_candidate, structural_is_prime
-from .engine import MAX_FOURIER_PMAX, MAX_PRIME_N, Window, certify, composite_signal, goldbach_count
+from .domain import H_CONVENTIONS, MAX_FOURIER_PMAX, MAX_PRIME_N, MU_SOURCES
 from .errors import InvariantError
-from .fourier import H_CONVENTIONS, fit_decay_exponent, tau_fourier, weighted_ergodic_sum
 from .harness import (
     DEFAULT_TABLE1_M0,
     DEFAULT_TABLE2_M0,
@@ -47,6 +47,18 @@ from .harness import (
     write_table3,
 )
 from .primes import odd_primes_upto
+
+# The engine, correlation and Fourier layers load on first use, so a
+# command loads only the layers it runs (README, "CLI start-up"); the top
+# of this module imports light modules only. Handlers read each name from
+# the module (_lazy.certify) at call time, so a rebound name is the one
+# that runs.
+__getattr__, __dir__ = _lazy_attributes(__name__, {
+    ".correlation": ("tau_table", "variance_decomposition"),
+    ".engine": ("Window", "certify", "composite_signal", "goldbach_count"),
+    ".fourier": ("fit_decay_exponent", "tau_fourier", "weighted_ergodic_sum"),
+})
+_lazy = sys.modules[__name__]
 
 _NAMED_TUPLES = {(0, 2): TWINS, (0, 4): COUSINS, (0, 6): SEXY}
 # Entries per write of a long list (scan's survivor file, the JSON lists
@@ -173,12 +185,12 @@ def _cmd_admissible(args: argparse.Namespace) -> int:
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     basis = sweep_basis(args.m0)
-    window = Window.for_capacity(args.m0, args.anchor)
+    window = _lazy.Window.for_capacity(args.m0, args.anchor)
     constellation = _parse_offsets(args.tuple)
-    trace = composite_signal(
+    trace = _lazy.composite_signal(
         basis, window, constellation, segments=args.segments, mode="mask"
     )
-    result = certify(trace, survivors=args.survivors is not None)
+    result = _lazy.certify(trace, survivors=args.survivors is not None)
     if args.survivors is not None:
         with open(args.survivors, "w", encoding="utf-8") as fh:
             for lo in range(0, result.count, _LIST_CHUNK):
@@ -199,7 +211,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_tau(args: argparse.Namespace) -> int:
-    rows = tau_table(_parse_offsets(args.tuple), args.p)
+    rows = _lazy.tau_table(_parse_offsets(args.tuple), args.p)
     # One write of the whole table: at p = 997, a print per row into a
     # file took 1.6-1.7 ms against 0.42-0.47 ms.
     lines = "".join(
@@ -211,8 +223,8 @@ def _cmd_tau(args: argparse.Namespace) -> int:
 
 def _cmd_moments(args: argparse.Namespace) -> int:
     basis = sweep_basis(args.m0)
-    window = Window.for_capacity(args.m0, args.anchor)
-    report = variance_decomposition(
+    window = _lazy.Window.for_capacity(args.m0, args.anchor)
+    report = _lazy.variance_decomposition(
         basis, window, _parse_offsets(args.tuple), mu_source=args.mu_source
     )
     _print_json({**dataclasses.asdict(report), "m0": args.m0})
@@ -220,7 +232,7 @@ def _cmd_moments(args: argparse.Namespace) -> int:
 
 
 def _cmd_equidist(args: argparse.Namespace) -> int:
-    report = weighted_ergodic_sum(args.m0, convention=args.convention)
+    report = _lazy.weighted_ergodic_sum(args.m0, convention=args.convention)
     write_csv(sys.stdout, TABLE3_HEADER, [table3_record(report)])
     return 0
 
@@ -232,14 +244,14 @@ def _cmd_fourier(args: argparse.Namespace) -> int:
         {"p": row.p, "k": row.k, "closed": row.coeff_closed,
          "dft_re": row.coeff_dft.real, "dft_im": row.coeff_dft.imag}
         for p in odd_primes_upto(args.pmax) if p >= 5
-        for row in tau_fourier(int(p))
+        for row in _lazy.tau_fourier(int(p))
     )
     write_csv(sys.stdout, ("p", "k", "closed", "dft_re", "dft_im"), rows)
     return 0
 
 
 def _cmd_goldbach(args: argparse.Namespace) -> int:
-    result = goldbach_count(args.even, survivors=args.survivors)
+    result = _lazy.goldbach_count(args.even, survivors=args.survivors)
     payload = {"even": args.even, "count": result.count}
     if args.survivors:
         _print_json_list({**payload, "survivors": result.survivors}, "survivors")
@@ -276,7 +288,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     # Checked before any ergodic sum runs.
     if len(set(m0_list)) < 3:
         raise ValueError("fit needs at least three distinct m0 values")
-    fit = fit_decay_exponent(m0_list, convention=args.convention)
+    fit = _lazy.fit_decay_exponent(m0_list, convention=args.convention)
     _print_json(fit_record(fit, args.convention))
     return 0
 
@@ -308,25 +320,36 @@ def _add_sweep_flags(sub: argparse.ArgumentParser, *flags: str) -> None:
                      help="output formats, comma-separated csv,json (default: %(default)s)")
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The process's one parser: building it costs more than most queries."""
-    parser = argparse.ArgumentParser(
-        prog="gearsieve",
-        description="Deterministic constellation sieve and its statistics",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# Each command's add_parser keywords and the function that adds its
+# arguments, in the order the full parser lists them.
+_COMMANDS: dict[str, tuple[dict, Callable[[argparse.ArgumentParser], None]]] = {}
 
-    p = sub.add_parser("seed", help="canonical two-three decomposition of n")
+
+def _command(name: str, **parser_kwargs):
+    """Register the decorated function as the arguments of command name."""
+    def register(add_arguments):
+        _COMMANDS[name] = (parser_kwargs, add_arguments)
+        return add_arguments
+    return register
+
+
+@_command("seed", help="canonical two-three decomposition of n")
+def _seed_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("n", type=int)
 
-    p = sub.add_parser("prime", help="structural primality of n")
+
+@_command("prime", help="structural primality of n")
+def _prime_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("n", type=int, help=f"integer in (3, {MAX_PRIME_N}]")
 
-    p = sub.add_parser("admissible", help="admissibility report for a pattern")
+
+@_command("admissible", help="admissibility report for a pattern")
+def _admissible_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("offsets", help="offset pattern, comma-separated, e.g. 0,2,6")
 
-    p = sub.add_parser("scan", help="certified constellation count over a window")
+
+@_command("scan", help="certified constellation count over a window")
+def _scan_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m0", type=int, required=True,
                    help="basis bound; window is [anchor, m0^2)")
     _add_shared_flags(p, "--anchor", "--tuple")
@@ -337,36 +360,48 @@ def build_parser() -> argparse.ArgumentParser:
                         "striding pass always runs fixed cache-sized blocks "
                         "(default: 1)")
 
-    p = sub.add_parser("tau", help="per-distance survival table for one prime")
+
+@_command("tau", help="per-distance survival table for one prime")
+def _tau_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--p", type=int, required=True)
     _add_shared_flags(p, "--tuple")
 
-    p = sub.add_parser(
-        "moments",
-        help="count moments and derived ratios",
-        description="Count moments and derived ratios, as JSON. A ratio with "
-                    "no finite value (snr or cv of a window with zero "
-                    "variance, for instance) is written as null.",
-    )
+
+@_command(
+    "moments",
+    help="count moments and derived ratios",
+    description="Count moments and derived ratios, as JSON. A ratio with "
+                "no finite value (snr or cv of a window with zero "
+                "variance, for instance) is written as null.",
+)
+def _moments_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m0", type=int, required=True)
     _add_shared_flags(p, "--tuple", "--anchor")
     p.add_argument("--mu-source", choices=MU_SOURCES, default=MU_SOURCES[0],
                    help="mean source for the report (default: %(default)s)")
 
-    p = sub.add_parser("equidist", help="weighted equidistribution sum at one m0")
+
+@_command("equidist", help="weighted equidistribution sum at one m0")
+def _equidist_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m0", type=int, required=True)
     _add_shared_flags(p, "--convention")
 
-    p = sub.add_parser("fourier", help="closed-form vs DFT coefficient table")
+
+@_command("fourier", help="closed-form vs DFT coefficient table")
+def _fourier_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--pmax", type=int, required=True,
                    help=f"largest prime, 5 to {MAX_FOURIER_PMAX}")
 
-    p = sub.add_parser("goldbach", help="certified two-prime decompositions")
+
+@_command("goldbach", help="certified two-prime decompositions")
+def _goldbach_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--even", type=int, required=True)
     p.add_argument("--survivors", action="store_true",
                    help="include the surviving first members")
 
-    p = sub.add_parser("table1", help="signal statistics sweep")
+
+@_command("table1", help="signal statistics sweep")
+def _table1_arguments(p: argparse.ArgumentParser) -> None:
     _add_sweep_flags(p, "--tuple", "--anchor")
     p.add_argument("--mean-source", choices=MEAN_SOURCES,
                    default=_CONVENTIONS.table1_mean_source,
@@ -377,25 +412,85 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--diagnostic", action="store_true",
                    help="emit both twin-count conventions side by side")
 
-    p = sub.add_parser("table2", help="variance decomposition sweep")
+
+@_command("table2", help="variance decomposition sweep")
+def _table2_arguments(p: argparse.ArgumentParser) -> None:
     _add_sweep_flags(p, "--tuple", "--anchor")
 
-    p = sub.add_parser("table3", help="equidistribution sweep with decay fit")
+
+@_command("table3", help="equidistribution sweep with decay fit")
+def _table3_arguments(p: argparse.ArgumentParser) -> None:
     _add_sweep_flags(p, "--convention")
 
-    p = sub.add_parser("figures", help="figure data series, one file per series and format")
+
+@_command("figures", help="figure data series, one file per series and format")
+def _figures_arguments(p: argparse.ArgumentParser) -> None:
     _add_sweep_flags(p, "--tuple", "--anchor")
 
-    p = sub.add_parser("fit", help="decay-exponent fit over an m0 ladder")
+
+@_command("fit", help="decay-exponent fit over an m0 ladder")
+def _fit_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m0-list", default=None,
                    help="comma-separated m0 values (default: built-in ladder)")
     _add_shared_flags(p, "--convention")
 
+
+def _subcommands() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction]:
+    """The top-level parser, with no command added to it yet."""
+    parser = argparse.ArgumentParser(
+        prog="gearsieve",
+        description="Deterministic constellation sieve and its statistics",
+    )
+    return parser, parser.add_subparsers(dest="command", required=True)
+
+
+def _add_command(sub: argparse._SubParsersAction, name: str) -> argparse.ArgumentParser:
+    parser_kwargs, add_arguments = _COMMANDS[name]
+    parser = sub.add_parser(name, **parser_kwargs)
+    add_arguments(parser)
     return parser
 
 
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser, every command nested in it.
+
+    main parses a valid command line with its command's parser alone, and
+    builds this one only for the top-level help or a command line it must
+    refuse.
+    """
+    parser, sub = _subcommands()
+    for name in _COMMANDS:
+        _add_command(sub, name)
+    return parser
+
+
+@functools.cache
+def command_parser(name: str) -> argparse.ArgumentParser:
+    """Command name's parser, built as build_parser nests it, once per process.
+
+    Its prog, help, usage and errors are the nested parser's.
+    """
+    return _add_command(_subcommands()[1], name)
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv parsed by its command's parser alone.
+
+    With no command, an unknown one, a top-level flag or an argument the
+    command does not take, the full parser parses argv instead and prints
+    the help or the error.
+    """
+    if argv and argv[0] in _COMMANDS:
+        namespace = argparse.Namespace(command=argv[0])
+        args, unrecognized = command_parser(argv[0]).parse_known_args(argv[1:], namespace)
+        if not unrecognized:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     # Looked up at call time, so a rebound handler is the one that runs.
     handler = globals()[f"_cmd_{args.command}"]
     try:

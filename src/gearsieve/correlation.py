@@ -40,14 +40,12 @@ from fractions import Fraction
 import numpy as np
 
 from .constellations import Constellation, density_product, is_admissible, omega
+from .domain import MAX_TAU_P, MAX_WINDOW_END, MU_SOURCES, _integer
 from .engine import (
     _TILE_PERIOD,
-    MAX_TAU_P,
-    MAX_WINDOW_END,
     SieveBasis,
     Window,
     _fill_from_tile,
-    _integer,
     _inverses,
     _tile_primes,
     certify,
@@ -58,9 +56,6 @@ from .primes import odd_primes_upto, primes_upto
 # Windows with at most this many positions get the exact covariance sum
 # (weighted_product_sum); larger windows get the float64 split alone.
 EXACT_POSITION_LIMIT = 20_000
-# Where variance_decomposition takes mu_N from: the certified count or the
-# mean-field expectation.
-MU_SOURCES = ("observed", "expected")
 # Entries of each chunk of the float sums' arrays.
 _SUM_CHUNK = 1 << 20
 # Entries of each sub-block of a chunk that takes its weights at once.

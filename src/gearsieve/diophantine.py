@@ -13,7 +13,7 @@ at the first block holding a divisor. The blocks ramp up: 64 moduli, then
 256, then 1024, then `_PRIME_BLOCK` (4096) each from there on. A composite
 with a prime factor below 131 pays for 64 moduli instead of 4096, and a
 prime, which walks every block, pays for three more block calls than a
-flat walk. Inputs are bounded by `engine.MAX_PRIME_N` (10^16), which keeps
+flat walk. Inputs are bounded by `domain.MAX_PRIME_N` (10^16), which keeps
 every gear phase and modulus inside int64.
 """
 
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import MAX_PRIME_N, MAX_WINDOW_END
+from .domain import MAX_PRIME_N, MAX_WINDOW_END, _integer
 
 # Moduli per block of the vectorized gear test, once the ramp reaches it.
 _PRIME_BLOCK = 4096
@@ -61,6 +61,7 @@ def canonical_seed(n: int) -> CanonicalSeed:
     The offset is forced by n mod 3 (2*n0 must match n there), and taking
     the smallest valid n0 maximizes m0 = (n - 2*n0) / 3.
     """
+    n = _integer("n", n)
     if n < 4:
         raise ValueError(f"canonical seed requires n >= 4, got {n}")
     n0 = _OFFSET_FOR_RESIDUE[n % 3]
@@ -85,15 +86,18 @@ def gear_sequence(seed: CanonicalSeed) -> list[Gear]:
     window, checked before any gear is built: at most 15,810 gears, about
     3 MB.
     """
+    if not isinstance(seed, CanonicalSeed):
+        raise TypeError(f"seed must be a CanonicalSeed, got {seed!r}")
+    n0, m0 = _integer("seed.n0", seed.n0), _integer("seed.m0", seed.m0)
     top = math.isqrt(MAX_WINDOW_END)
-    if seed.m0 > top:
-        raise ValueError(f"gear sequence supports m0 up to {top}, got m0={seed.m0}")
-    if seed.m0 % 2 == 0:
-        raise ValueError(f"gear sequence needs odd m0, got m0={seed.m0}")
+    if m0 > top:
+        raise ValueError(f"gear sequence supports m0 up to {top}, got m0={m0}")
+    if m0 % 2 == 0:
+        raise ValueError(f"gear sequence needs odd m0, got m0={m0}")
     gears = []
     k = 0
-    while seed.m0 - 2 * k >= 3:
-        gears.append(Gear(k=k, n_k=seed.n0 + 3 * k, m_k=seed.m0 - 2 * k))
+    while m0 - 2 * k >= 3:
+        gears.append(Gear(k=k, n_k=n0 + 3 * k, m_k=m0 - 2 * k))
         k += 1
     return gears
 
@@ -118,6 +122,7 @@ def structural_is_prime(n: int) -> bool:
     divides n_k. The answer does not depend on the order, only the cost:
     O(sqrt(n)) for a prime, one short block for most composites.
     """
+    n = _integer("n", n)
     if n <= 3:
         raise ValueError(f"structural test is defined for n > 3, got {n}")
     if n > MAX_PRIME_N:

@@ -39,32 +39,27 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .constellations import Constellation, is_admissible, omega
+# The domain limits of the public entry points are kept in one place,
+# gearsieve.domain, which loads nothing heavy; they stay importable from
+# here under the same names.
+from .domain import (  # noqa: F401
+    MAX_FOURIER_PMAX,
+    MAX_PRIME_N,
+    MAX_PRODUCT_PMAX,
+    MAX_TAU_P,
+    MAX_WINDOW_END,
+    _integer,
+)
 from .errors import InvariantError
 # primes_upto is not called here any more; benchmarks/tracing.py times
 # the prime table by rebinding engine.primes_upto, so the name stays.
-from .primes import MAX_PRIME_TABLE, odd_primes_upto, primes_upto  # noqa: F401
-
-# Domain limits of the public entry points, kept in one place.
-# Windows (and Goldbach even values) larger than this are out of scope.
-MAX_WINDOW_END = 10**9
-# Structural primality walks isqrt(n)/2 moduli, about 0.4 s at this size,
-# and keeps every gear phase and modulus well inside int64.
-MAX_PRIME_N = 10**16
-# `gearsieve fourier` runs an O(p^2) DFT for every prime up to its bound.
-MAX_FOURIER_PMAX = 1000
-# tau tables hold a row per residue; no supported window has a larger prime.
-MAX_TAU_P = math.isqrt(MAX_WINDOW_END)
-# product_variance_constant sieves every prime up to its bound, which is
-# the prime table's own: 10^7 peaks near 27 MB, and the primes past it
-# move the product by about 2e-15.
-MAX_PRODUCT_PMAX = MAX_PRIME_TABLE
+from .primes import odd_primes_upto, primes_upto  # noqa: F401
 
 # Entries per lane that one block strides. A 1 MiB bool or uint8 row stays
 # in a 2 MiB L2 while every (prime, offset) pair passes over it, and a long
@@ -84,14 +79,6 @@ _TILE_PERIOD = 1 << 16
 _WHEEL = (3, 5)
 # The mask-mode wheel on long windows; 105 lanes.
 _COUNT_WHEEL = (3, 5, 7)
-
-
-def _integer(name: str, value) -> int:
-    """value as an int (numpy ints too); a float or a str raises TypeError naming name."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,12 +20,9 @@ import numpy as np
 
 from .constellations import TWINS
 from .correlation import _SUM_CHUNK, _tables_at_multiples, tau_numerators, weighted_float_sum
-from .engine import MAX_PRODUCT_PMAX, MAX_WINDOW_END
+from .domain import H_CONVENTIONS, MAX_PRODUCT_PMAX, MAX_WINDOW_END
 from .errors import InvariantError
 from .primes import is_prime_trial, odd_primes_upto
-
-# The weight-table indexings of the equidistribution sum.
-H_CONVENTIONS = ("appendix_c", "section4")
 
 
 @dataclass(frozen=True)

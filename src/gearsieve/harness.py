@@ -18,19 +18,31 @@ import functools
 import json
 import math
 import os
+import sys
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TextIO
+from typing import TYPE_CHECKING, TextIO
 
 import numpy as np
 
+from . import _lazy_attributes
 from .constellations import Constellation, TWINS
-from .correlation import fano_theoretical, mean_field, variance_decomposition
-from .engine import MAX_WINDOW_END, SieveBasis, Window, certify, composite_signal, signal_sums
-from .fourier import (
-    H_CONVENTIONS, EquidistReport, FitResult, fit_decay_exponent, weighted_ergodic_sum,
-)
+from .domain import H_CONVENTIONS, MAX_WINDOW_END
+
+if TYPE_CHECKING:
+    from .engine import SieveBasis, Window
+    from .fourier import EquidistReport, FitResult
+
+# The engine, correlation and Fourier layers load on first use, so a
+# process loads only the layers its rows run. Calls read each name from
+# the module (_lazy.certify), at call time.
+__getattr__, __dir__ = _lazy_attributes(__name__, {
+    ".correlation": ("fano_theoretical", "mean_field", "variance_decomposition"),
+    ".engine": ("SieveBasis", "Window", "certify", "composite_signal", "signal_sums"),
+    ".fourier": ("fit_decay_exponent", "weighted_ergodic_sum"),
+})
+_lazy = sys.modules[__name__]
 
 MEAN_SOURCES = ("proper", "literal")
 SURVIVOR_RANGES = ("inclusive", "strict")
@@ -40,11 +52,15 @@ DEFAULT_TABLE1_M0 = (30, 50, 100, 500, 1000)
 DEFAULT_TABLE2_M0 = (30, 50, 100, 200, 500, 1000)
 DEFAULT_TABLE3_M0 = (30, 50, 100, 200, 500, 1000)
 
+# The table headers of the default tuple. A count column is named after
+# the sweep's constellation (_table_header): twins, or sexy for (0, 6).
 TABLE1_HEADER = ("m0", "window", "twins", "mean", "var", "ratio")
 TABLE1_DIAGNOSTIC_HEADER = (
     "m0", "window", "twins_inclusive", "twins_strict", "mean", "var", "ratio",
 )
 TABLE2_HEADER = ("m0", "L", "twins", "mu_N", "sigma_diag", "sigma_off", "variance")
+# The columns no constellation name may take.
+_FIXED_COLUMNS = frozenset(TABLE1_HEADER + TABLE2_HEADER) - {TWINS.name}
 TABLE3_HEADER = ("m0", "L", "weighted_sum", "theory", "rel_error_pct")
 FIGURE1_HEADER = ("m0", "fano_observed", "fano_theoretical")
 FIGURE2_HEADER = ("m0", "count_observed", "count_theory")
@@ -95,6 +111,10 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not self.m0_list:
             raise ValueError("m0_list must be non-empty")
+        if self.constellation.name in _FIXED_COLUMNS:
+            raise ValueError(
+                f"constellation name {self.constellation.name!r} is a table column of its own"
+            )
         for m0 in self.m0_list:
             if m0 < 5:
                 raise ValueError(f"every m0 must be >= 5, got {m0}")
@@ -114,7 +134,7 @@ def sweep_basis(m0: int) -> SieveBasis:
     # The window [anchor, m0^2) is checked before anything is sieved.
     if m0 * m0 > MAX_WINDOW_END:
         raise ValueError(f"window end {m0 * m0} exceeds the supported {MAX_WINDOW_END}")
-    return SieveBasis(m0 if m0 % 2 == 1 else m0 - 1)
+    return _lazy.SieveBasis(m0 if m0 % 2 == 1 else m0 - 1)
 
 
 def _ratio(var: float, mean: float, m0: int, window: Window) -> float:
@@ -129,16 +149,17 @@ def _ratio(var: float, mean: float, m0: int, window: Window) -> float:
 
 def _table1_row(cfg: RunConfig, m0: int) -> dict:
     basis = sweep_basis(m0)
-    window = Window.for_capacity(m0, cfg.anchor)
-    sums = signal_sums(basis, window, cfg.constellation)
+    window = _lazy.Window.for_capacity(m0, cfg.anchor)
+    sums = _lazy.signal_sums(basis, window, cfg.constellation)
     mean, var = sums.moments(proper=cfg.conventions.table1_mean_source == "proper")
-    twins = sums.inclusive if cfg.conventions.survivor_range == "inclusive" else sums.strict
+    count = sums.inclusive if cfg.conventions.survivor_range == "inclusive" else sums.strict
+    name = cfg.constellation.name
     return {
         "m0": m0,
         "window": m0 * m0,
-        "twins": twins,
-        "twins_inclusive": sums.inclusive,
-        "twins_strict": sums.strict,
+        name: count,
+        f"{name}_inclusive": sums.inclusive,
+        f"{name}_strict": sums.strict,
         "mean": mean,
         "var": var,
         "ratio": _ratio(var, mean, m0, window),
@@ -147,21 +168,31 @@ def _table1_row(cfg: RunConfig, m0: int) -> dict:
 
 def _table2_row(cfg: RunConfig, m0: int) -> dict:
     basis = sweep_basis(m0)
-    window = Window.for_capacity(m0, cfg.anchor)
-    trace = composite_signal(basis, window, cfg.constellation, mode="mask")
-    count = certify(trace).count
-    report = variance_decomposition(
+    window = _lazy.Window.for_capacity(m0, cfg.anchor)
+    trace = _lazy.composite_signal(basis, window, cfg.constellation, mode="mask")
+    count = _lazy.certify(trace).count
+    report = _lazy.variance_decomposition(
         basis, window, cfg.constellation, observed_count=count
     )
     return {
         "m0": m0,
         "L": window.length,
-        "twins": count,
+        cfg.constellation.name: count,
         "mu_N": report.mu_N,
         "sigma_diag": report.sigma_diag,
         "sigma_off": report.sigma_off,
         "variance": report.variance,
     }
+
+
+def _table_header(header: tuple[str, ...], constellation: Constellation) -> tuple[str, ...]:
+    """header with its count columns named after constellation.
+
+    twins, twins_inclusive and twins_strict become sexy, sexy_inclusive
+    and sexy_strict for SEXY, and tuple_0_2_6... for a custom tuple; the
+    rows of a sweep use the same keys.
+    """
+    return tuple(column.replace(TWINS.name, constellation.name) for column in header)
 
 
 def table3_record(report: EquidistReport) -> dict:
@@ -170,22 +201,22 @@ def table3_record(report: EquidistReport) -> dict:
 
 
 def _table3_row(cfg: RunConfig, m0: int) -> dict:
-    return table3_record(weighted_ergodic_sum(m0, convention=cfg.conventions.h_convention))
+    return table3_record(_lazy.weighted_ergodic_sum(m0, convention=cfg.conventions.h_convention))
 
 
 def _figure_row(cfg: RunConfig, m0: int) -> dict:
     basis = sweep_basis(m0)
-    window = Window.for_capacity(m0, cfg.anchor)
-    sums = signal_sums(basis, window, cfg.constellation)
+    window = _lazy.Window.for_capacity(m0, cfg.anchor)
+    sums = _lazy.signal_sums(basis, window, cfg.constellation)
     mean, var = sums.moments(proper=True)
     count = sums.strict
     return {
         "m0": m0,
         "L": window.length,
         "fano_observed": _ratio(var, mean, m0, window),
-        "fano_theoretical": fano_theoretical(basis.m0),
+        "fano_theoretical": _lazy.fano_theoretical(basis.m0),
         "count_observed": count,
-        "count_theory": mean_field(cfg.constellation, basis.m0, window.positions),
+        "count_theory": _lazy.mean_field(cfg.constellation, basis.m0, window.positions),
         "cv_observed": 1.0 / math.sqrt(count) if count > 0 else math.inf,
     }
 
@@ -237,7 +268,7 @@ def run_table3(cfg: RunConfig) -> list[dict]:
     """
     rows = _sweep(_table3_row, cfg)
     if len(set(cfg.m0_list)) >= 3:
-        fit = fit_decay_exponent(
+        fit = _lazy.fit_decay_exponent(
             [row["m0"] for row in rows],
             errors=[row["rel_error_pct"] for row in rows],
         )
@@ -317,11 +348,12 @@ def _emit(cfg: RunConfig, name: str, header: tuple[str, ...],
 def write_table1(cfg: RunConfig, diagnostic: bool = False) -> list[Path]:
     rows = run_table1(cfg)
     header = TABLE1_DIAGNOSTIC_HEADER if diagnostic else TABLE1_HEADER
-    return _emit(cfg, "table1", header, rows)
+    return _emit(cfg, "table1", _table_header(header, cfg.constellation), rows)
 
 
 def write_table2(cfg: RunConfig) -> list[Path]:
-    return _emit(cfg, "table2", TABLE2_HEADER, run_table2(cfg))
+    header = _table_header(TABLE2_HEADER, cfg.constellation)
+    return _emit(cfg, "table2", header, run_table2(cfg))
 
 
 def write_table3(cfg: RunConfig) -> list[Path]:

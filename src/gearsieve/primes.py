@@ -12,10 +12,7 @@ import math
 
 import numpy as np
 
-# The largest bound the table sieves to: a 10 MB mask and 5.3 MB of primes.
-# The supported windows need primes only to isqrt(MAX_WINDOW_END);
-# product_variance_constant needs 10^7.
-MAX_PRIME_TABLE = 10**7
+from .domain import MAX_PRIME_TABLE
 
 _table: np.ndarray = np.empty(0, dtype=np.int64)
 _limit: int = -1

@@ -1,8 +1,10 @@
 """Command-line surface: subcommands, formats, exit codes."""
 
 import argparse
+import contextlib
 import hashlib
 import inspect
+import io
 import json
 import math
 import re
@@ -176,8 +178,9 @@ _FIGURE_SHA256 = {
          "1a73ddd8e8581e344950976a966ee3fb8f721f02a930a74f2491599db44452b3"),
         (["table1", "--survivor-range", "strict"], "table1.csv",
          "655403efbc3c2f8b154922c1b56a93ddfdea75297084d5c8268c49129f1a6d54"),
+        # the count column is named after the tuple: tuple_0_2_6, not twins
         (["table1", "--tuple", "0,2,6"], "table1.csv",
-         "d5641c0cf122d65ec23b4b3e0adc1ed3ec29c7a3017bddd8e3af28cb380c13ff"),
+         "991f3ec0b385646362b0c5d2d43c6a20810de242c400e2e4e499c871aaab66ae"),
         *[(["figures"], name, sha256) for name, sha256 in _FIGURE_SHA256.items()],
     ],
 )
@@ -619,17 +622,77 @@ def test_tau_above_cap_exits_two_at_once(capsys):
 
 
 def test_main_parses_once_and_dispatches_by_command(capsys):
+    # each command's parser is built once, and a valid command line never
+    # builds the full parser
     cli.build_parser.cache_clear()
-    assert main(["seed", "37"]) == 0
-    assert json.loads(capsys.readouterr().out)["m0"] == 11
-    assert main(["prime", "91"]) == 0
-    assert json.loads(capsys.readouterr().out) == {"n": 91, "prime": False}
-    assert cli.build_parser.cache_info().misses == 1
+    cli.command_parser.cache_clear()
+    for _ in range(2):
+        assert main(["seed", "37"]) == 0
+        assert json.loads(capsys.readouterr().out)["m0"] == 11
+        assert main(["prime", "91"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"n": 91, "prime": False}
+    assert cli.command_parser.cache_info().misses == 2
+    assert cli.build_parser.cache_info().misses == 0
     # handlers are looked up when called, so a rebound one is the one run
     with mock.patch.object(cli, "_cmd_seed", return_value=0) as handler:
         assert main(["seed", "37"]) == 0
     handler.assert_called_once()
     assert capsys.readouterr().out == ""
+
+
+# per command: arguments it accepts, and arguments it refuses by value
+# (an invalid choice where the command has one)
+_COMMAND_LINES = {
+    "seed": (["37"], ["x"]),
+    "prime": (["97"], ["9.5"]),
+    "admissible": (["0,2,6"], None),
+    "scan": (["--m0", "45"], ["--m0", "45", "--segments", "x"]),
+    "tau": (["--p", "5"], ["--p", "five"]),
+    "moments": (["--m0", "45"], ["--m0", "45", "--mu-source", "nosuch"]),
+    "equidist": (["--m0", "45"], ["--m0", "45", "--convention", "nosuch"]),
+    "fourier": (["--pmax", "7"], ["--pmax", "x"]),
+    "goldbach": (["--even", "100"], ["--even", "1e3"]),
+    "table1": ([], ["--survivor-range", "nosuch"]),
+    "table2": ([], ["--workers", "x"]),
+    "table3": ([], ["--convention", "nosuch"]),
+    "figures": ([], ["--anchor", "x"]),
+    "fit": ([], ["--convention", "nosuch"]),
+}
+
+
+def _parse_outcome(parse, argv):
+    """(exit code, stdout, stderr) of a parse that argparse ends by exiting."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exited:
+            parse(argv)
+    return exited.value.code, out.getvalue(), err.getvalue()
+
+
+def _refused_command_lines():
+    for command, (valid, invalid) in _COMMAND_LINES.items():
+        # the command's own parser prints the help or the error
+        yield [command, "-h"], False
+        if valid:
+            yield [command], False
+        if invalid:
+            yield [command, *invalid], False
+        # an argument the command does not take is the full parser's error
+        yield [command, *valid, "--bogus"], True
+        yield [command, *valid, "extra"], True
+    for argv in ([], ["-h"], ["--help"], ["nosuchcommand"], ["--bogus", "prime", "97"]):
+        yield argv, True
+
+
+@pytest.mark.parametrize("argv, full", list(_refused_command_lines()))
+def test_a_command_parser_prints_what_the_full_parser_prints(argv, full):
+    assert _COMMAND_LINES.keys() == cli._COMMANDS.keys()
+    want = _parse_outcome(cli.build_parser().parse_args, argv)
+    assert want[0] == (0 if {"-h", "--help"} & set(argv) else 2)
+    cli.build_parser.cache_clear()
+    assert _parse_outcome(main, argv) == want
+    # the full parser is built only for the lines that need it
+    assert cli.build_parser.cache_info().misses == int(full)
 
 
 def test_every_subcommand_has_a_handler():

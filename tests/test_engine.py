@@ -23,6 +23,7 @@ from gearsieve.engine import (
     signal_values,
     torus_average,
 )
+from gearsieve.diophantine import CanonicalSeed, canonical_seed, gear_sequence, structural_is_prime
 from gearsieve.harness import sweep_basis
 from gearsieve.primes import odd_primes_upto
 
@@ -128,6 +129,21 @@ def test_basis_and_window_take_integers_only():
     for window in (Window.for_capacity(np.int64(11)), Window(np.int64(7), np.int64(121))):
         assert window == Window(7, 121)
         assert type(window.anchor) is int and type(window.end) is int
+    # the diophantine entry points: structural_is_prime(97.0) and
+    # canonical_seed(10.5) raised "tuple indices must be integers", and
+    # gear_sequence(10.5) an AttributeError
+    for call, message in ((canonical_seed, "n must be an integer"),
+                          (structural_is_prime, "n must be an integer"),
+                          (gear_sequence, "seed must be a CanonicalSeed")):
+        for bad in (97.0, 10.5, "11"):
+            with pytest.raises(TypeError, match=message):
+                call(bad)
+    with pytest.raises(TypeError, match="seed.m0 must be an integer"):
+        gear_sequence(CanonicalSeed(n=37, n0=2, m0=11.0))
+    seed = canonical_seed(np.int64(37))
+    assert seed == canonical_seed(37) and type(seed.n) is int and type(seed.m0) is int
+    assert structural_is_prime(np.int64(97)) is True and structural_is_prime(np.int64(91)) is False
+    assert gear_sequence(seed) == gear_sequence(canonical_seed(37))
 
 
 def test_certify_refuses_a_window_its_basis_does_not_cover():

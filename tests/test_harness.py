@@ -9,6 +9,7 @@ from unittest import mock
 import pytest
 
 from gearsieve import harness
+from gearsieve.constellations import SEXY, Constellation
 from gearsieve.engine import Window
 from gearsieve.harness import (
     TABLE1_HEADER,
@@ -204,6 +205,31 @@ def test_json_format_output(tmp_path):
     payload = json.loads((tmp_path / "table2.json").read_text())
     assert payload[0]["twins"] == 30
     assert list(payload[0]) == list(TABLE2_HEADER)
+
+
+@pytest.mark.parametrize(
+    "constellation", [SEXY, Constellation("tuple_0_2_6", (0, 2, 6))], ids=["sexy", "custom"],
+)
+def test_count_columns_are_named_after_the_tuple(tmp_path, constellation):
+    # every tuple's counts used to be written under twins
+    name = constellation.name
+    cfg = RunConfig(m0_list=(30, 50), constellation=constellation,
+                    output_dir=str(tmp_path), formats=("csv", "json"))
+    counts = [row[name] for row in run_table2(cfg)]
+    header, rows = _read_csv(write_table2(cfg)[0])
+    assert header == ["m0", "L", name, "mu_N", "sigma_diag", "sigma_off", "variance"]
+    assert [int(row[2]) for row in rows] == counts
+    payload = json.loads((tmp_path / "table2.json").read_text())
+    assert [list(row) for row in payload] == [header] * 2
+    assert [row[name] for row in payload] == counts
+    header, rows = _read_csv(write_table1(cfg)[0])
+    assert header == ["m0", "window", name, "mean", "var", "ratio"]
+    header, rows = _read_csv(write_table1(cfg, diagnostic=True)[0])
+    assert header[2:4] == [f"{name}_inclusive", f"{name}_strict"]
+    assert [int(row[3]) for row in rows] == counts  # table2 counts the strict way
+    # a name that is another column's would overwrite that column
+    with pytest.raises(ValueError, match="'mean' is a table column"):
+        RunConfig(m0_list=(30,), constellation=Constellation("mean", (0, 6)))
 
 
 def test_reruns_are_byte_identical(tmp_path):
